@@ -14,19 +14,25 @@ Implements the OLAP semantics the GOLD model prescribes:
   dimension with a function its rules forbid raises
   :class:`AdditivityError` — the machine-checkable version of the
   paper's "additive rules are defined as constraints".
+
+Each execution first compiles the cube into a plan (per dice axis, the
+coordinates of every base member; the measures; the slices), then makes
+flat passes over the fact rows (DESIGN.md §16).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from functools import reduce
+from itertools import product
+from operator import add
 
-from ..mdm.cubes import CubeClass, SliceCondition
+from ..mdm.cubes import CubeClass, DiceGrouping, SliceCondition
 from ..mdm.enums import AggregationKind
 from ..mdm.errors import ModelError, ModelReferenceError
 from ..mdm.model import GoldModel
-from .star import FactRow, StarSchema
+from .star import StarSchema
 
 __all__ = ["AdditivityError", "CubeResult", "execute_cube", "CubeEngine"]
 
@@ -76,7 +82,7 @@ class CubeResult:
 
 
 def _sort_key(key: tuple):
-    return tuple((v is None, str(v)) for v in key)
+    return tuple(map(_coordinate_order, key))
 
 
 def execute_cube(cube: CubeClass, star: StarSchema) -> CubeResult:
@@ -101,50 +107,60 @@ class CubeEngine:
         if problems:
             raise ModelReferenceError("; ".join(problems))
 
+        # Compile the plan once: everything that does not depend on the
+        # row, so the passes below are dict lookups and list building.
         fact = self.model.fact_class(cube.fact)
-        table = self.star.fact_table(fact.id)
-        measure_names = tuple(
-            fact.attribute(ref).name for ref in cube.measures)
-
+        measures = tuple(
+            (fact.attribute(ref).name, cube.aggregation_for(ref))
+            for ref in cube.measures)
         group_levels = tuple(
             self._level_label(d.dimension, d.level) for d in cube.dices)
-
         fact_conditions, dim_conditions = self._split_slices(cube, fact)
+        fact_slices = [
+            (fact.attribute(c.attribute.split(".")[-1]).name,
+             c.operator.apply, c.value) for c in fact_conditions]
+        member_slices = (self._allowed_members(dim_conditions) or {}).items()
+        axes = [self._axis(dice) for dice in cube.dices]
 
-        # Pre-filter dimension members named by slice conditions.
-        allowed_members = self._allowed_members(dim_conditions)
+        # Slice: fact predicates first, then member slices, each
+        # evaluated only on the rows every earlier condition kept.
+        rows = self.star.facts[fact.id].rows
+        kept = rows
+        for name, apply, value in fact_slices:
+            kept = [row for row in kept
+                    if apply(row.values.get(name), value)]
+        for dimension_id, allowed in member_slices:
+            kept = [row for row in kept
+                    if _admits(row.coordinates.get(dimension_id), allowed)]
 
-        accumulators: dict[tuple, list[_Accumulator]] = {}
-        sliced_out = 0
-        for row in table.rows:
-            if not self._passes_fact_slices(row, fact, fact_conditions):
-                sliced_out += 1
-                continue
-            if allowed_members is not None and \
-                    not self._passes_member_slices(row, allowed_members):
-                sliced_out += 1
-                continue
-            for key in self._group_keys(row, cube):
-                slot = accumulators.get(key)
-                if slot is None:
-                    slot = [
-                        _Accumulator(cube.aggregation_for(ref))
-                        for ref in cube.measures
-                    ]
-                    accumulators[key] = slot
-                for accumulator, ref in zip(slot, cube.measures):
-                    name = fact.attribute(ref).name
-                    value = row.values.get(name)
-                    accumulator.feed(value)
+        # Dice: one column of coordinate tuples per axis.  Each tuple has
+        # several entries under non-strict or many-to-many fan-out, and
+        # the row joins the group of every combination.
+        columns = []
+        for dimension_id, plan, base in axes:
+            keys = [row.coordinates.get(dimension_id) for row in kept]
+            try:
+                columns.append(list(map(plan.__getitem__, keys)))
+            except (KeyError, TypeError):  # a key list, or an unknown key
+                columns.append([_coordinates(k, plan, base) for k in keys])
+        groups: dict[tuple, list[dict]] = {}
+        for values, *coordinates in zip([row.values for row in kept],
+                                        *columns):
+            for key in product(*coordinates):
+                group = groups.get(key)
+                if group is None:
+                    group = groups[key] = []
+                group.append(values)
 
         result = CubeResult(cube=cube, group_levels=group_levels,
-                            measure_names=measure_names,
-                            sliced_out=sliced_out)
-        for key, slot in accumulators.items():
+                            measure_names=tuple(n for n, _ in measures),
+                            sliced_out=len(rows) - len(kept))
+        for key, group in groups.items():
             result.rows[key] = {
-                name: accumulator.value()
-                for name, accumulator in zip(measure_names, slot)
-            }
+                name: _aggregate(kind, [
+                    v for values in group
+                    if (v := values.get(name)) is not None])
+                for name, kind in measures}
         return result
 
     # -- additivity ------------------------------------------------------------------
@@ -170,32 +186,21 @@ class CubeEngine:
             return dimension.name
         return f"{dimension.name}.{dimension.level(level_ref).name}"
 
-    def _group_keys(self, row: FactRow, cube: CubeClass
-                    ) -> Iterable[tuple]:
-        # Each dice axis yields one or more coordinates (non-strict or
-        # many-to-many fan-out); the row contributes to every combination.
-        per_axis: list[list[object]] = []
-        for dice in cube.dices:
-            dimension = self.model.dimension_class(dice.dimension)
-            data = self.star.dimensions[dimension.id]
-            coordinates: list[object] = []
-            for base_key in row.member_keys(dimension.id):
-                if dice.level in (dimension.id, dimension.name):
-                    coordinates.append(base_key)
-                    continue
-                ancestors = data.ancestors_at(base_key, dice.level)
-                if ancestors:
-                    coordinates.extend(a.key for a in ancestors)
-                else:
-                    # Non-complete hierarchy: group under None.
-                    coordinates.append(None)
-            per_axis.append(sorted(set(coordinates), key=lambda v:
-                            (v is None, str(v))) or [None])
+    def _axis(self, dice: DiceGrouping
+              ) -> tuple[str, dict[object, tuple], bool]:
+        """``(dimension id, base key → sorted coordinates, base grain?)``.
 
-        if not per_axis:
-            yield ()
-            return
-        yield from _product(per_axis)
+        Resolves each base member's ancestors at the dice level once; a
+        member whose hierarchy ends early (non-complete) groups under
+        ``None``.
+        """
+        dimension = self.model.dimension_class(dice.dimension)
+        data = self.star.dimensions[dimension.id]
+        return dimension.id, {
+            key: tuple(sorted({a.key for a in data.ancestors_at(
+                key, dice.level)}, key=_coordinate_order)) or (None,)
+            for key in data.members(dimension.id)
+        }, dice.level in (dimension.id, dimension.name)
 
     # -- slicing -----------------------------------------------------------------------
 
@@ -220,16 +225,6 @@ class CubeEngine:
                     f"cannot resolve slice attribute "
                     f"{condition.attribute!r}")
         return fact_conditions, dim_conditions
-
-    def _passes_fact_slices(self, row: FactRow, fact,
-                            conditions: list[SliceCondition]) -> bool:
-        for condition in conditions:
-            name = condition.attribute.split(".")[-1]
-            attribute = fact.attribute(name)
-            value = row.values.get(attribute.name)
-            if not condition.operator.apply(value, condition.value):
-                return False
-        return True
 
     def _allowed_members(self, dim_conditions) -> dict[str, set] | None:
         """Base-level member keys allowed per dimension, or None (no slices)."""
@@ -259,57 +254,48 @@ class CubeEngine:
                 allowed[dimension_id] = keys
         return allowed
 
-    def _passes_member_slices(self, row: FactRow,
-                              allowed: dict[str, set]) -> bool:
-        for dimension_id, keys in allowed.items():
-            member_keys = row.member_keys(dimension_id)
-            if member_keys and not any(k in keys for k in member_keys):
-                return False
-        return True
+
+def _coordinate_order(value: object):
+    return value is None, str(value)
 
 
-def _product(axes: list[list[object]]) -> Iterable[tuple]:
-    if not axes:
-        yield ()
-        return
-    head, *rest = axes
-    for value in head:
-        for tail in _product(rest):
-            yield (value,) + tail
+def _coordinates(keys, plan: dict[object, tuple], base: bool) -> tuple:
+    """One axis's sorted coordinates for a row's key or key list.
+
+    A key the dimension lacks (a row appended without the integrity
+    check) is its own coordinate at the base grain and ``None`` above.
+    """
+    if not isinstance(keys, (list, tuple)):
+        return plan.get(keys) or ((keys,) if base else (None,))
+    union = {value for key in keys for value in _coordinates(key, plan, base)}
+    return tuple(sorted(union, key=_coordinate_order)) or (None,)
 
 
-class _Accumulator:
-    """Streaming aggregation for one measure in one group."""
+def _admits(keys, allowed: set) -> bool:
+    """A row passes a member slice when any of its keys is allowed."""
+    if not isinstance(keys, (list, tuple)):
+        return keys is None or keys in allowed
+    return not keys or any(key in allowed for key in keys)
 
-    __slots__ = ("kind", "_sum", "_count", "_min", "_max")
 
-    def __init__(self, kind: AggregationKind) -> None:
-        self.kind = kind
-        self._sum = 0.0
-        self._count = 0
-        self._min: object = None
-        self._max: object = None
+def _aggregate(kind: AggregationKind, present: list) -> object:
+    """Aggregate one group's non-``None`` measure values (row order).
 
-    def feed(self, value: object) -> None:
-        if value is None:
-            return
-        self._count += 1
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            self._sum += value
-        if self._min is None or value < self._min:  # type: ignore[operator]
-            self._min = value
-        if self._max is None or value > self._max:  # type: ignore[operator]
-            self._max = value
-
-    def value(self) -> object:
-        if self.kind is AggregationKind.COUNT:
-            return self._count
-        if self.kind is AggregationKind.SUM:
-            return self._sum
-        if self.kind is AggregationKind.MIN:
-            return self._min
-        if self.kind is AggregationKind.MAX:
-            return self._max
-        if self.kind is AggregationKind.AVG:
-            return self._sum / self._count if self._count else math.nan
-        raise AssertionError(self.kind)  # pragma: no cover
+    Sums are a left fold from ``0.0`` over the numbers, added one at a
+    time in row order; builtin ``sum()`` is avoided because Python 3.12
+    compensates float sums, which would change the answer's bits.
+    """
+    if kind is AggregationKind.COUNT:
+        return len(present)
+    if kind is AggregationKind.MIN:
+        return min(present, default=None)
+    if kind is AggregationKind.MAX:
+        return max(present, default=None)
+    total = reduce(add, [
+        v for v in present
+        if isinstance(v, (int, float)) and not isinstance(v, bool)], 0.0)
+    if kind is AggregationKind.SUM:
+        return total
+    if kind is AggregationKind.AVG:
+        return total / len(present) if present else math.nan
+    raise AssertionError(kind)  # pragma: no cover

@@ -36,8 +36,9 @@ from ..faults import FAULTS, FaultError, fault_point
 from ..obs.recorder import RECORDER as _REC
 from .app import ModelRepositoryApp
 
-__all__ = ["ModelServer", "make_handler", "make_server", "serve_forever",
-           "MAX_BODY_BYTES", "READ_TIMEOUT_S"]
+__all__ = ["ModelServer", "RepositoryHTTPServer", "make_handler",
+           "make_server", "serve_forever", "MAX_BODY_BYTES",
+           "READ_TIMEOUT_S"]
 
 #: Largest accepted request body; a PUT beyond this is answered 413.
 #: Generous for model documents (the large benchmark model is ~1 MB).
@@ -54,6 +55,18 @@ _READ_FAULT = fault_point(
 _WRITE_FAULT = fault_point(
     "httpd.write", "raise/delay before the response bytes are written "
                    "(httpd.py)")
+
+
+class RepositoryHTTPServer(ThreadingHTTPServer):
+    """The threaded server every repository process listens with.
+
+    ``socketserver`` listens with a backlog of 5: a burst of
+    simultaneous connects overflows it, and each dropped SYN waits out
+    the kernel's initial retransmit timeout (about 1 s on Linux).
+    """
+
+    daemon_threads = True
+    request_queue_size = 128
 
 
 class _RepositoryHandler(BaseHTTPRequestHandler):
@@ -221,16 +234,14 @@ def make_server(app: ModelRepositoryApp | None = None, *,
                 quiet: bool = True,
                 read_timeout_s: float = READ_TIMEOUT_S,
                 max_body_bytes: int = MAX_BODY_BYTES
-                ) -> tuple[ThreadingHTTPServer, ModelRepositoryApp]:
+                ) -> tuple[RepositoryHTTPServer, ModelRepositoryApp]:
     """A bound (not yet serving) threaded server around *app*."""
     if app is None:
         app = ModelRepositoryApp()
     handler = make_handler(app, quiet=quiet,
                            read_timeout_s=read_timeout_s,
                            max_body_bytes=max_body_bytes)
-    server = ThreadingHTTPServer((host, port), handler)
-    server.daemon_threads = True
-    return server, app
+    return RepositoryHTTPServer((host, port), handler), app
 
 
 class ModelServer:

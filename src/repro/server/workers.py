@@ -52,12 +52,12 @@ import signal
 import socket
 import threading
 import time
-from http.server import ThreadingHTTPServer
 
 from .app import ModelRepositoryApp
 from .buildstore import BuildStore, SharedModelStore
 from .cache import SiteCache
-from .httpd import MAX_BODY_BYTES, READ_TIMEOUT_S, make_handler
+from .httpd import (MAX_BODY_BYTES, READ_TIMEOUT_S, RepositoryHTTPServer,
+                    make_handler)
 from .telemetry import ServerTelemetry
 
 __all__ = ["MultiWorkerServer", "BuildPool", "make_worker_app",
@@ -94,10 +94,8 @@ def make_worker_app(buildstore: BuildStore, *,
         worker_id=worker_id, fleet=buildstore, prebuild=prebuild)
 
 
-class _ReusePortServer(ThreadingHTTPServer):
+class _ReusePortServer(RepositoryHTTPServer):
     """A threaded server whose socket joins a reuseport group."""
-
-    daemon_threads = True
 
     def server_bind(self) -> None:
         self.socket.setsockopt(
@@ -105,10 +103,8 @@ class _ReusePortServer(ThreadingHTTPServer):
         super().server_bind()
 
 
-class _InheritedSocketServer(ThreadingHTTPServer):
+class _InheritedSocketServer(RepositoryHTTPServer):
     """A threaded server accepting on a socket bound by the parent."""
-
-    daemon_threads = True
 
     def __init__(self, shared: socket.socket, handler: type) -> None:
         address = shared.getsockname()[:2]
@@ -308,7 +304,7 @@ class MultiWorkerServer:
             shared = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             shared.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             shared.bind((self._host, self._requested_port))
-            shared.listen(128)
+            shared.listen(RepositoryHTTPServer.request_queue_size)
             self._shared_socket = shared
             self._port = shared.getsockname()[1]
 

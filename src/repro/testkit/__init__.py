@@ -4,7 +4,8 @@ Three layers (see DESIGN.md §9):
 
 * :mod:`repro.testkit.reference` — deliberately naive, cache-free
   oracles for document order, namespace resolution, XPath evaluation
-  and template dispatch;
+  and template dispatch; :mod:`repro.testkit.sqloracle` answers OLAP
+  queries in sqlite3, independently of the cube engine;
 * :mod:`repro.testkit.generators` / :mod:`repro.testkit.strategies` —
   seed-replayable random workloads (GOLD models, DOM mutation scripts,
   XPath expressions) and their Hypothesis wrappers;

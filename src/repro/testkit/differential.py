@@ -9,6 +9,8 @@ dump them as reproducers.
 from __future__ import annotations
 
 import math
+import traceback
+from contextlib import closing
 from typing import Sequence
 
 from ..xml.dom import Document, Element, NamespaceNode, Node
@@ -36,6 +38,8 @@ __all__ = [
     "sort_differential",
     "compiled_differential",
     "incremental_differential",
+    "cube_differential",
+    "olap_differential",
     "GENERIC_DIFFERENTIAL_XSL",
 ]
 
@@ -308,6 +312,98 @@ def incremental_differential(model, edits: Sequence[tuple[str, int, int, int]]
             failures.append(record)
         previous_pages = dict(new_site.pages)
     return failures
+
+
+#: Dataset shape for :func:`olap_differential`: small, with more
+#: non-strict fan-out and hierarchy gaps than the service default.
+OLAP_DATASET = dict(members_per_level=4, rows_per_fact=120,
+                    non_strict_fanout=0.5, non_complete_rate=0.2)
+
+#: Queries per :func:`olap_differential` call.
+OLAP_QUERIES = 12
+
+
+def cube_differential(star, specs) -> list[dict]:
+    """The cube engine vs the sqlite3 oracle, query by query.
+
+    Group keys, ``sliced_out`` and counts must match exactly; floats to
+    ``rel_tol=1e-9``.  A query an additivity rule forbids must make the
+    engine raise :class:`~repro.olap.engine.AdditivityError`.
+    """
+    from ..mdm.enums import AggregationKind
+    from ..olap.engine import AdditivityError, CubeEngine
+    from .sqloracle import SqlOracle, same_value
+
+    engine = CubeEngine(star)
+    with closing(SqlOracle(star)) as oracle:
+        expected_answers = [oracle.answer(spec) for spec in specs]
+    failures: list[dict] = []
+    for spec, expected in zip(specs, expected_answers):
+        record = {"check": "olap-sqlite", "query": spec.canonical_dict()}
+        try:
+            result = engine.execute(spec.to_cube(star.model))
+        except AdditivityError as error:
+            if not expected.rejected:
+                failures.append(dict(record, problem=f"rejected: {error}"))
+            continue
+        except Exception as error:  # noqa: BLE001 - reported, not raised
+            failures.append(dict(record, problem=f"raised {error!r}",
+                                 traceback=traceback.format_exc()))
+            continue
+        if expected.rejected:
+            failures.append(dict(
+                record, problem="answered a query the additivity rules "
+                                "forbid"))
+            continue
+        if result.sliced_out != expected.sliced_out:
+            failures.append(dict(
+                record, problem="sliced_out", engine=result.sliced_out,
+                oracle=expected.sliced_out))
+        if set(result.rows) != set(expected.rows):
+            failures.append(dict(
+                record, problem="group keys",
+                only_engine=sorted(map(repr, set(result.rows)
+                                       - set(expected.rows)))[:5],
+                only_oracle=sorted(map(repr, set(expected.rows)
+                                       - set(result.rows)))[:5]))
+            continue
+        for key, values in result.rows.items():
+            for (measure, aggregation), name, value in zip(
+                    spec.measures, result.measure_names,
+                    expected.rows[key]):
+                if not same_value(AggregationKind(aggregation),
+                                  values[name], value):
+                    failures.append(dict(
+                        record, problem="value", group=repr(key),
+                        measure=measure, engine=repr(values[name]),
+                        oracle=repr(value)))
+    return failures
+
+
+def olap_differential(model, rng) -> list[dict]:
+    """:func:`cube_differential` over a random dataset of *model*.
+
+    Besides the generated rows, each fact table gets rows appended
+    without the integrity check: one referencing a member its dimension
+    lacks, and one with no member for a dimension.
+    """
+    from ..olap.service.datagen import DatasetConfig, synthesize_star
+    from .generators import random_query_spec
+
+    star = synthesize_star(model, "testkit", rng.randrange(1 << 16),
+                           DatasetConfig(**OLAP_DATASET))
+    for fact in model.facts:
+        table = star.facts[fact.id]
+        if not table.rows or not fact.dimension_ids:
+            continue
+        dimension_id = rng.choice(fact.dimension_ids)
+        template = rng.choice(table.rows)
+        table.append(dict(template.coordinates, **{dimension_id: "ghost"}),
+                     template.values)
+        table.append({k: v for k, v in template.coordinates.items()
+                      if k != dimension_id}, template.values)
+    return cube_differential(star, [random_query_spec(model, star, rng)
+                                    for _ in range(OLAP_QUERIES)])
 
 
 #: Stylesheets exercised by :func:`compiled_differential` on *generic*

@@ -21,7 +21,11 @@ Three workload families:
   evaluator;
 * :func:`random_model_edit_script` — designer-shaped edit scripts over
   a model document (renames, flag toggles, measure adds, whole-unit
-  clone/drop) that drive the incremental-republish differential.
+  clone/drop) that drive the incremental-republish differential;
+* :func:`random_query_spec` — OLAP queries over a populated star (0-3
+  dice axes at any level, fact/dimension/level slices whose values come
+  from the data, now and then an aggregation the additivity rules
+  forbid) for the cube-engine-vs-sqlite3 differential.
 """
 
 from __future__ import annotations
@@ -33,6 +37,8 @@ from typing import Sequence
 from ..mdm.builder import ModelBuilder
 from ..mdm.enums import AggregationKind, Multiplicity
 from ..mdm.model import GoldModel
+from ..olap.service.query import QuerySpec
+from ..olap.star import StarSchema
 from ..xml.dom import (
     Comment,
     Document,
@@ -52,6 +58,7 @@ __all__ = [
     "random_model_edit_script",
     "apply_model_edit",
     "random_xpath",
+    "random_query_spec",
     "MUTATION_KINDS",
     "MODEL_EDIT_KINDS",
     "DOCUMENT_TAGS",
@@ -639,3 +646,95 @@ def random_xpath(rng: random.Random, *,
         wrapper = rng.choice(("count", "string", "boolean"))
         expression = f"{wrapper}({expression})"
     return expression
+
+
+# -- OLAP queries ------------------------------------------------------------
+
+#: Operators for numbers; strings also take the LIKE pair.
+_ORDERED_OPERATORS = ("EQ", "NOTEQ", "LT", "GT", "LET", "GET", "IN",
+                      "NOTIN")
+_TEXT_OPERATORS = _ORDERED_OPERATORS + ("LIKE", "NOTLIKE")
+
+#: Share of measures given an aggregation the additivity rules forbid.
+_REJECT_RATE = 0.15
+
+
+def random_query_spec(model: GoldModel, star: StarSchema,
+                      rng: random.Random) -> QuerySpec:
+    """A random query over *star*, in canonical :class:`QuerySpec` form.
+
+    Zero to three dice axes, each at the base grain or any level; one to
+    three measures, each with an aggregation the additivity rules allow
+    along every dice dimension, except that now and then a forbidden
+    one is picked where there is one; zero to two slices on a fact
+    attribute, a dimension attribute or a level attribute, compared
+    with a value taken from the data.
+    """
+    fact = rng.choice(model.facts)
+    dimensions = list(fact.dimension_ids)
+    dices = []
+    axes = min(len(dimensions), rng.choice((0, 1, 1, 2, 2, 3)))
+    for dimension_id in rng.sample(dimensions, axes):
+        levels = [level.id for level in
+                  model.dimension_class(dimension_id).iter_levels()]
+        dices.append((dimension_id, rng.choice([dimension_id] + levels)))
+
+    measures = []
+    for attribute in rng.sample(fact.attributes,
+                                rng.randint(1, min(3, len(fact.attributes)))):
+        allowed = set(_AGGREGATIONS)
+        for dimension_id, _level in dices:
+            allowed &= attribute.allowed_aggregations(dimension_id)
+        forbidden = set(_AGGREGATIONS) - allowed
+        pool = forbidden if forbidden and (
+            not allowed or rng.random() < _REJECT_RATE) else allowed
+        measures.append(
+            (attribute.id, rng.choice(sorted(k.value for k in pool))))
+
+    slices = []
+    for _ in range(rng.choice((0, 0, 1, 1, 2))):
+        kind = rng.choice(("fact", "dimension", "level"))
+        if kind == "fact":
+            attribute = rng.choice(fact.attributes)
+            path = f"{fact.id}.{attribute.name}"
+            values = [row.values.get(attribute.name)
+                      for row in star.facts[fact.id].rows]
+        else:
+            dimension = model.dimension_class(rng.choice(dimensions))
+            if kind == "dimension":
+                carriers = [(dimension.id, dimension.attributes)]
+            else:
+                carriers = [(level.id, level.attributes)
+                            for level in dimension.iter_levels()]
+            carriers = [(level_id, attributes)
+                        for level_id, attributes in carriers if attributes]
+            if not carriers:
+                continue
+            level_id, attributes = rng.choice(carriers)
+            attribute = rng.choice(attributes)
+            path = (f"{dimension.id}.{attribute.name}" if kind == "dimension"
+                    else f"{dimension.id}.{level_id}.{attribute.name}")
+            values = [member.attributes.get(attribute.name) for member in
+                      star.dimensions[dimension.id].members(level_id)
+                      .values()]
+        values = sorted({v for v in values if v is not None}, key=repr)
+        if values:
+            slices.append((path, *_random_comparison(rng, values)))
+    return QuerySpec(fact=fact.id, measures=tuple(measures),
+                     dices=tuple(dices), slices=tuple(slices))
+
+
+def _random_comparison(rng: random.Random, values: list
+                       ) -> tuple[str, object]:
+    """``(operator, value)`` for a slice over the distinct *values*."""
+    text = all(isinstance(v, str) for v in values)
+    operator = rng.choice(_TEXT_OPERATORS if text else _ORDERED_OPERATORS)
+    if operator in ("IN", "NOTIN"):
+        return operator, tuple(rng.sample(values,
+                                          min(len(values), rng.randint(1, 3))))
+    value = rng.choice(values)
+    if operator in ("LIKE", "NOTLIKE") and value:
+        cut = rng.randrange(len(value))
+        value = (value[:cut] + "%" if rng.random() < 0.5
+                 else value[:cut] + "_" + value[cut + 1:])
+    return operator, value

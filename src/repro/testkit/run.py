@@ -6,7 +6,7 @@ Usage::
 
 Runs seed-derived iterations until the time budget is exhausted (or for
 an exact ``--iterations`` count).  Each iteration is fully determined by
-``(seed, index)`` and exercises all six workload families:
+``(seed, index)`` and exercises all seven workload families:
 
 * a random GOLD model through the full pipeline harness,
 * a DOM mutation script checked differentially after every operation,
@@ -15,7 +15,10 @@ an exact ``--iterations`` count).  Each iteration is fully determined by
 * the compiled streaming renderer vs the interpreter, byte-for-byte,
   over both the model document and a mutated generic document,
 * a model edit script replayed through the incremental republisher,
-  each step proven byte-identical to a cold publish.
+  each step proven byte-identical to a cold publish,
+* random OLAP queries over a random dataset of the iteration's model
+  and of the paper's sales model, each answered by the cube engine and
+  by an independent sqlite3 oracle.
 
 Failures are printed and written as JSON reproducers (seed, iteration,
 and the failing records) to ``--failures-dir`` so a red CI run can be
@@ -31,6 +34,7 @@ import random
 import sys
 import time
 
+from ..mdm.examples import sales_model
 from ..mdm.xml_io import model_to_document
 from ..obs import RECORDER, build_trace, write_trace
 from .differential import (
@@ -38,6 +42,7 @@ from .differential import (
     compiled_differential,
     dispatch_differential,
     incremental_differential,
+    olap_differential,
     run_mutation_differential,
     sort_differential,
     xpath_differential,
@@ -114,6 +119,13 @@ def run_iteration(seed: int, index: int) -> list[dict]:
     with RECORDER.span("testkit.incremental"):
         edits = random_model_edit_script(rng, MODEL_EDITS_PER_ITERATION)
         failures.extend(incremental_differential(model, edits))
+
+    # Cube engine vs the sqlite3 oracle.  The sales model has every
+    # shape the engine must group right: a non-strict roll-up, a
+    # many-to-many dimension, alternative paths and an additivity rule.
+    with RECORDER.span("testkit.olap"):
+        failures.extend(olap_differential(model, rng))
+        failures.extend(olap_differential(sales_model(), rng))
 
     for record in failures:
         record.setdefault("seed", seed)

@@ -100,3 +100,47 @@ class TestCubeWithoutAggregations:
             dices=(DiceGrouping(time.id, time.level("Month").id),))
         result = execute_cube(cube, star)
         assert result.rows[("jan",)]["qty"] == 5.0
+
+
+def base_cube(model, fact):
+    time = model.dimension_class("Time")
+    return CubeClass(
+        id="b", name="b", fact=fact.id,
+        measures=(fact.attributes[0].id,),
+        aggregations=(AggregationKind.SUM,),
+        dices=(DiceGrouping(time.id, time.id),))
+
+
+class TestRowsAppendedWithoutTheIntegrityCheck:
+    """Rows added through ``FactTable.append`` skip ``insert_fact``'s
+    referential check; the engine still answers for them."""
+
+    def append(self, model, star, fact, keys, qty):
+        time = model.dimension_class("Time")
+        coordinates = {} if keys is None else {time.id: keys}
+        star.facts[fact.id].append(coordinates, {"qty": qty})
+
+    def test_unknown_key_is_itself_at_base_and_none_above(self):
+        model, star, fact = build_world()
+        self.append(model, star, fact, "ghost", 4)
+        self.append(model, star, fact, "d1", 1)
+        base = execute_cube(base_cube(model, fact), star)
+        assert list(base.rows) == [("ghost",), ("d1",)]
+        month = execute_cube(month_cube(model, fact), star)
+        assert month.rows == {(None,): {"qty": 4.0}, ("jan",): {"qty": 1.0}}
+
+    def test_row_without_a_key_groups_under_none(self):
+        model, star, fact = build_world()
+        self.append(model, star, fact, None, 2)
+        self.append(model, star, fact, [], 3)
+        for cube in (base_cube(model, fact), month_cube(model, fact)):
+            assert execute_cube(cube, star).rows == {(None,): {"qty": 5.0}}
+
+    def test_key_list_takes_the_union_of_its_coordinates(self):
+        model, star, fact = build_world()
+        self.append(model, star, fact, ["orphan", "d1", "ghost"], 7)
+        month = execute_cube(month_cube(model, fact), star)
+        assert list(month.rows) == [("jan",), (None,)]
+        base = execute_cube(base_cube(model, fact), star)
+        assert list(base.rows) == [("d1",), ("ghost",), ("orphan",)]
+        assert all(v == {"qty": 7.0} for v in base.rows.values())
