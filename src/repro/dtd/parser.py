@@ -244,22 +244,11 @@ class _Parser:
         values: list[str] = []
         while True:
             scanner.skip_space()
-            values.append(self._read_nmtoken())
+            values.append(scanner.read_nmtoken())
             scanner.skip_space()
             if scanner.match(")"):
                 return tuple(values)
             scanner.expect("|", "'|' in enumeration")
-
-    def _read_nmtoken(self) -> str:
-        from ..xml.chars import is_name_char
-
-        scanner = self.scanner
-        start = scanner.pos
-        while not scanner.at_end and is_name_char(scanner.peek()):
-            scanner.advance()
-        if scanner.pos == start:
-            raise scanner.error("expected an NMTOKEN")
-        return scanner.text[start:scanner.pos]
 
     def _parse_default(self) -> tuple[str, str | None]:
         scanner = self.scanner

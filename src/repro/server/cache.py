@@ -27,7 +27,8 @@ whose bytes have not changed:
 * **Link-checked at build time.**  Every page-producing build runs
   :func:`repro.web.linkcheck.check_site` and stores the report, so the
   ``/health/<model>`` endpoint surfaces broken anchors instead of the
-  server silently shipping them.
+  server silently shipping them.  An incremental rebuild hands the
+  check the previous entry's report, so only changed pages are scanned.
 * **Degrades, never hangs (DESIGN.md §12).**  Builds are bounded by a
   global slot pool: a rebuild that cannot get a slot within the wait
   budget is *shed* (:class:`CacheOverloadError` → 503 + Retry-After)
@@ -419,7 +420,10 @@ class SiteCache:
         ``republish_incremental`` degrades to a full publish internally
         on any diff/index miss (counted here as ``incremental_fallback``)
         but lets injected ``publish.diff`` faults propagate, so the
-        caller's serve-stale degradation still gets exercised.
+        caller's serve-stale degradation still gets exercised.  The link
+        check rescans only pages *previous*'s report has not seen (an
+        entry adopted from the build store carries no scans, so its
+        successor gets a full check).
         """
         previous_pages = {name: data.decode("utf-8")
                           for name, data in previous.pages.items()}
@@ -432,7 +436,8 @@ class SiteCache:
             content_hash=record.content_hash, revision=record.revision,
             pages=pages,
             etags={name: page_etag(data) for name, data in pages.items()},
-            link_report=check_site(site), messages=site.messages)
+            link_report=check_site(site, previous.link_report),
+            messages=site.messages)
         with self._meta_lock:
             self._dep_indexes[key] = (entry.content_hash, new_index)
         self._bump("incremental_fallback" if info["mode"] == "full"

@@ -6,10 +6,18 @@ different pieces of information" is testable: every ``href`` and every
 each HTML page (with the stdlib HTML parser, since the ``html`` output
 method legitimately leaves void elements unclosed) and reports dangling
 references and orphan pages.
+
+A page's anchors and links depend on its text alone, so a report keeps
+them keyed by the SHA-256 of the page's UTF-8 bytes (the digest its ETag
+carries), never by page name and without the text.  Given the report of
+an earlier build, :func:`check_site` scans only pages whose content it
+has not seen and resolves the links of the whole site again, so the
+result is the same as a check from scratch.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from html.parser import HTMLParser
 
@@ -29,6 +37,11 @@ class LinkReport:
     #: Pages with no inbound link (excluding index.html).
     orphans: list[str] = field(default_factory=list)
     total_links: int = 0
+    #: SHA-256 of a page's UTF-8 bytes → its (anchors, links).  Empty on
+    #: reports that were not made by :func:`check_site` in this process
+    #: (e.g. loaded from the build store); those give no reuse.
+    page_scans: dict[bytes, tuple[frozenset[str], tuple[str, ...]]] = \
+        field(default_factory=dict, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -60,19 +73,31 @@ class _PageScanner(HTMLParser):
                 self.links.append(href)
 
 
-def check_site(site: Site) -> LinkReport:
-    """Check every internal link and anchor of *site*."""
+def _scan(content: str) -> tuple[frozenset[str], tuple[str, ...]]:
+    scanner = _PageScanner()
+    scanner.feed(content)
+    return frozenset(scanner.anchors), tuple(scanner.links)
+
+
+def check_site(site: Site, previous: LinkReport | None = None) -> LinkReport:
+    """Check every internal link and anchor of *site*.
+
+    *previous*, the report of an earlier build, lends the scans of the
+    pages whose content it has already seen; the report is the same as
+    without it.
+    """
     report = LinkReport()
-    anchors: dict[str, set[str]] = {}
-    links: dict[str, list[str]] = {}
+    seen = previous.page_scans if previous is not None else {}
+    anchors: dict[str, frozenset[str]] = {}
+    links: dict[str, tuple[str, ...]] = {}
 
     for name, content in site.pages.items():
         if not name.endswith(".html"):
             continue
-        scanner = _PageScanner()
-        scanner.feed(content)
-        anchors[name] = scanner.anchors
-        links[name] = scanner.links
+        key = hashlib.sha256(content.encode("utf-8")).digest()
+        scan = report.page_scans.get(key) or seen.get(key) or _scan(content)
+        report.page_scans[key] = scan
+        anchors[name], links[name] = scan
 
     inbound: set[str] = set()
     for page, page_links in links.items():
@@ -84,7 +109,7 @@ def check_site(site: Site) -> LinkReport:
                 report.broken_pages.append((page, href))
                 continue
             inbound.add(target_page)
-            if fragment and fragment not in anchors.get(target_page, set()):
+            if fragment and fragment not in anchors.get(target_page, ()):
                 report.broken_anchors.append((page, href))
 
     for name in site.pages:

@@ -12,11 +12,15 @@ validator depend on:
 The ranges are transcribed directly from the specification.  They are kept
 as tuples of ``(low, high)`` code-point pairs and searched with
 :func:`bisect.bisect_right`, which keeps membership checks O(log n) without
-building multi-megabyte lookup sets.
+building multi-megabyte lookup sets.  The same tables generate the regular
+expression character classes the lexer scans whole runs with
+(:data:`NAME_START_CLASS`, :data:`NAME_CHAR_CLASS`, :data:`NON_CHAR_CLASS`),
+so a character class is defined once for both uses.
 """
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
 from functools import lru_cache
 
@@ -31,6 +35,10 @@ __all__ = [
     "split_qname",
     "strip_xml_space",
     "collapse_whitespace",
+    "NAME_START_CLASS",
+    "NAME_CHAR_CLASS",
+    "NON_CHAR_CLASS",
+    "NAME_RE",
 ]
 
 # Production [2] Char, XML 1.0 5th edition.
@@ -88,6 +96,34 @@ _NAME_LOWS, _NAME_HIGHS = _compile(
     tuple(sorted(_NAME_START_RANGES + _NAME_EXTRA_RANGES)))
 
 
+def _class_body(ranges: tuple[tuple[int, int], ...]) -> str:
+    """The inside of a regex character class matching *ranges*."""
+    return "".join(f"\\U{low:08x}-\\U{high:08x}" for low, high in ranges)
+
+
+def _complement(ranges: tuple[tuple[int, int], ...]
+                ) -> tuple[tuple[int, int], ...]:
+    """The code points in no range of the sorted, disjoint *ranges*."""
+    gaps, low = [], 0
+    for start, end in ranges:
+        if start > low:
+            gaps.append((low, start - 1))
+        low = end + 1
+    if low <= 0x10FFFF:
+        gaps.append((low, 0x10FFFF))
+    return tuple(gaps)
+
+
+#: Regex class bodies (without the brackets) for NameStartChar, NameChar
+#: and every code point that is not a ``Char``.
+NAME_START_CLASS = _class_body(_NAME_START_RANGES)
+NAME_CHAR_CLASS = _class_body(_NAME_START_RANGES + _NAME_EXTRA_RANGES)
+NON_CHAR_CLASS = _class_body(_complement(_CHAR_RANGES))
+
+#: Production [5] Name.
+NAME_RE = re.compile(f"[{NAME_START_CLASS}][{NAME_CHAR_CLASS}]*")
+
+
 def _in_ranges(cp: int, lows: list[int], highs: list[int]) -> bool:
     idx = bisect_right(lows, cp) - 1
     return idx >= 0 and cp <= highs[idx]
@@ -120,9 +156,7 @@ def is_name_char(ch: str) -> bool:
 @lru_cache(maxsize=8192)
 def is_name(text: str) -> bool:
     """Return True if *text* is a valid XML ``Name`` (colons allowed)."""
-    if not text or not is_name_start_char(text[0]):
-        return False
-    return all(is_name_char(ch) for ch in text[1:])
+    return NAME_RE.fullmatch(text) is not None
 
 
 @lru_cache(maxsize=8192)

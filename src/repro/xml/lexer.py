@@ -2,16 +2,24 @@
 
 :class:`Scanner` is a cursor over the document text that tracks line and
 column positions and provides the primitive operations the recursive-descent
-parser is built from (peek/advance/expect/read-until).  Keeping it separate
-lets the DTD parser reuse the same machinery for the internal subset.
+parser is built from (peek/advance/expect/read-until).  Names and white
+space are consumed with one compiled-regex match per run, never one
+character at a time.  Keeping it separate lets the DTD parser reuse the
+same machinery for the internal subset.
 """
 
 from __future__ import annotations
 
-from .chars import is_name_char, is_name_start_char
+import re
+from bisect import bisect_right
+
+from .chars import NAME_CHAR_CLASS, NAME_RE
 from .errors import XMLSyntaxError
 
 __all__ = ["Scanner"]
+
+_SPACE_RE = re.compile(r"[ \t\r\n]*")
+_NMTOKEN_RE = re.compile(f"[{NAME_CHAR_CLASS}]+")
 
 
 class Scanner:
@@ -37,14 +45,8 @@ class Scanner:
         """Return 1-based ``(line, column)`` for *pos* (default: current)."""
         if pos is None:
             pos = self.pos
-        lo, hi = 0, len(self._line_starts) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self._line_starts[mid] <= pos:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo + 1, pos - self._line_starts[lo] + 1
+        line = bisect_right(self._line_starts, pos)
+        return line, pos - self._line_starts[line - 1] + 1
 
     def error(self, message: str, pos: int | None = None) -> XMLSyntaxError:
         """Build an :class:`XMLSyntaxError` at *pos* (default: current)."""
@@ -88,12 +90,8 @@ class Scanner:
     def skip_space(self) -> bool:
         """Skip XML white space; return True if any was consumed."""
         start = self.pos
-        text, n = self.text, len(self.text)
-        pos = self.pos
-        while pos < n and text[pos] in " \t\r\n":
-            pos += 1
-        self.pos = pos
-        return pos != start
+        self.pos = _SPACE_RE.match(self.text, start).end()
+        return self.pos != start
 
     def require_space(self, context: str) -> None:
         """Skip white space, raising if none was present."""
@@ -102,17 +100,19 @@ class Scanner:
 
     def read_name(self, what: str = "name") -> str:
         """Consume and return an XML Name."""
-        start = self.pos
-        ch = self.peek()
-        if not ch or not is_name_start_char(ch):
+        match = NAME_RE.match(self.text, self.pos)
+        if match is None:
             raise self.error(f"expected {what}")
-        self.advance()
-        while True:
-            ch = self.peek()
-            if not ch or not is_name_char(ch):
-                break
-            self.advance()
-        return self.text[start:self.pos]
+        self.pos = match.end()
+        return match.group()
+
+    def read_nmtoken(self) -> str:
+        """Consume and return an XML Nmtoken (one or more NameChars)."""
+        match = _NMTOKEN_RE.match(self.text, self.pos)
+        if match is None:
+            raise self.error("expected an NMTOKEN")
+        self.pos = match.end()
+        return match.group()
 
     def read_until(self, terminator: str, what: str) -> str:
         """Consume and return text up to *terminator* (also consumed)."""

@@ -10,6 +10,13 @@ Parses a document string into the :mod:`repro.xml.dom` tree.  Supported:
   references,
 * precise error positions on every well-formedness violation.
 
+Names, white space, attribute values and character data are consumed one
+run at a time: a compiled regular expression (its character classes
+generated from the :mod:`repro.xml.chars` range tables) matches the
+longest run that needs no attention, and only the character that ends a
+run (markup, a reference, a line end to normalize, a forbidden character)
+is looked at on its own.
+
 Unsupported (rejected, not silently ignored): external entities and custom
 general entities — the CASE-tool documents of the paper never use them.
 
@@ -22,7 +29,9 @@ Example
 
 from __future__ import annotations
 
-from .chars import is_qname, is_xml_char
+import re
+
+from .chars import NAME_RE, NON_CHAR_CLASS, is_qname
 from .dom import (
     Attribute,
     Comment,
@@ -36,6 +45,21 @@ from .escaping import resolve_char_ref, resolve_entity
 from .lexer import Scanner
 
 __all__ = ["parse", "parse_file", "XMLParser"]
+
+#: A run of character data: legal characters other than those content
+#: treats specially ('<', '&', ']' and the '\r' of a line end).
+_TEXT_RUN = re.compile(f"[^<&\\]\\r{NON_CHAR_CLASS}]+")
+_DOUBLE_RUN = f'[^"<&\\t\\n\\r{NON_CHAR_CLASS}]*'
+_SINGLE_RUN = f"[^'<&\\t\\n\\r{NON_CHAR_CLASS}]*"
+#: A run of an attribute value that needs no normalization, per quote.
+_VALUE_RUN = {'"': re.compile(_DOUBLE_RUN), "'": re.compile(_SINGLE_RUN)}
+#: An attribute's name, its '=' with the white space around it and, when
+#: the value is one run, the quoted value (group 2 or 3).
+_ATTRIBUTE = re.compile(
+    f"({NAME_RE.pattern})[ \\t\\r\\n]*=[ \\t\\r\\n]*"
+    f"(?:\"({_DOUBLE_RUN})\"|'({_SINGLE_RUN})')?")
+#: The characters the internal-subset scan stops at.
+_SUBSET_MARK = re.compile("[][\"']")
 
 
 def parse(text: str | bytes, *, namespaces: bool = True) -> Document:
@@ -55,25 +79,42 @@ def parse_file(path, *, namespaces: bool = True) -> Document:
 
 
 def _decode(data: bytes) -> str:
-    """Decode *data* honouring BOMs and the encoding pseudo-attribute."""
+    """Decode *data* honouring BOMs and the encoding pseudo-attribute.
+
+    Bytes that are invalid in their encoding, and an encoding this Python
+    does not know, raise :class:`XMLSyntaxError` like any other
+    well-formedness violation.
+    """
     if data.startswith(b"\xef\xbb\xbf"):
-        return data[3:].decode("utf-8")
+        return _decoded(data[3:], "utf-8")
     if data.startswith(b"\xff\xfe"):
-        return data.decode("utf-16-le")[1:] if data[2:4] != b"\x00\x00" else data.decode("utf-32-le")[1:]
+        wide = data[2:4] == b"\x00\x00"
+        return _decoded(data, "utf-32-le" if wide else "utf-16-le")[1:]
     if data.startswith(b"\xfe\xff"):
-        return data.decode("utf-16-be")[1:]
+        return _decoded(data, "utf-16-be")[1:]
     head = data[:128].decode("latin-1", errors="replace")
     if head.startswith("<?xml"):
         decl_end = head.find("?>")
         if decl_end != -1 and "encoding" in head[:decl_end]:
-            import re
-
             match = re.search(
                 r"encoding\s*=\s*['\"]([A-Za-z][A-Za-z0-9._-]*)['\"]",
                 head[:decl_end])
             if match:
-                return data.decode(match.group(1))
-    return data.decode("utf-8")
+                return _decoded(data, match.group(1))
+    return _decoded(data, "utf-8")
+
+
+def _decoded(data: bytes, encoding: str) -> str:
+    try:
+        return data.decode(encoding)
+    except LookupError:
+        raise XMLSyntaxError(f"unknown encoding {encoding!r}") from None
+    except UnicodeError as exc:
+        start = getattr(exc, "start", None)
+        where = "" if start is None else f" at byte {start}"
+        reason = getattr(exc, "reason", str(exc))
+        raise XMLSyntaxError(
+            f"document is not valid {encoding}{where}: {reason}") from None
 
 
 class XMLParser:
@@ -176,22 +217,22 @@ class XMLParser:
         scanner.skip_space()
         if scanner.peek() == "[":
             scanner.advance()
-            start = scanner.pos
+            text, start = scanner.text, scanner.pos
             depth = 1
             while depth:
-                ch = scanner.peek()
-                if not ch:
-                    raise scanner.error("unterminated internal subset")
+                mark = _SUBSET_MARK.search(text, scanner.pos)
+                if mark is None:
+                    raise scanner.error(
+                        "unterminated internal subset", len(text))
+                scanner.pos = mark.end()
+                ch = mark.group()
                 if ch == "[":
                     depth += 1
                 elif ch == "]":
                     depth -= 1
-                elif ch == '"' or ch == "'":
-                    scanner.advance()
+                else:
                     scanner.read_until(ch, "literal in internal subset")
-                    continue
-                scanner.advance()
-            document.internal_subset = scanner.text[start:scanner.pos - 1]
+            document.internal_subset = text[start:scanner.pos - 1]
             scanner.skip_space()
         scanner.expect(">", "end of DOCTYPE")
 
@@ -221,17 +262,18 @@ class XMLParser:
             # Attach early so namespace lookup sees ancestors during parsing.
             element.parent = parent_element
 
+        text = scanner.text
         seen_attrs: set[str] = set()
         while True:
             had_space = scanner.skip_space()
-            ch = scanner.peek()
-            if ch == ">":
-                scanner.advance()
+            pos = scanner.pos
+            if text.startswith(">", pos):
+                scanner.pos = pos + 1
                 self._parse_content(element)
                 self._parse_end_tag(element)
                 break
-            if scanner.startswith("/>"):
-                scanner.advance(2)
+            if text.startswith("/>", pos):
+                scanner.pos = pos + 2
                 break
             if not had_space:
                 raise scanner.error("white space required before attribute")
@@ -246,15 +288,23 @@ class XMLParser:
         scanner = self._scanner
         assert scanner is not None
         attr_start = scanner.pos
-        name = scanner.read_name("attribute name")
+        match = _ATTRIBUTE.match(scanner.text, attr_start)
+        name = scanner.read_name("attribute name") if match is None \
+            else match.group(1)
         if name in seen:
             raise scanner.error(
                 f"duplicate attribute {name!r}", attr_start)
         seen.add(name)
-        scanner.skip_space()
-        scanner.expect("=", "'=' after attribute name")
-        scanner.skip_space()
-        value = self._parse_attribute_value()
+        if match is None:
+            # The name is fine, so the '=' is missing: this raises.
+            scanner.skip_space()
+            scanner.expect("=", "'=' after attribute name")
+        scanner.pos = match.end()
+        value = match.group(2)
+        if value is None:
+            value = match.group(3)
+            if value is None:
+                value = self._parse_attribute_value()
         line, column = scanner.location(attr_start)
         if name == "xmlns":
             element.declare_namespace("", value)
@@ -278,86 +328,91 @@ class XMLParser:
     def _parse_attribute_value(self) -> str:
         scanner = self._scanner
         assert scanner is not None
-        quote = scanner.peek()
+        text, pos = scanner.text, scanner.pos
+        quote = text[pos:pos + 1]
         if quote not in ("'", '"'):
             raise scanner.error("attribute value must be quoted")
-        scanner.advance()
-        parts: list[str] = []
+        run = _VALUE_RUN[quote].match
+        start, pos = pos + 1, run(text, pos + 1).end()
+        parts = [text[start:pos]]
         while True:
-            ch = scanner.peek()
-            if not ch:
-                raise scanner.error("unterminated attribute value")
+            ch = text[pos:pos + 1]
             if ch == quote:
-                scanner.advance()
+                scanner.pos = pos + 1
                 return "".join(parts)
+            if not ch:
+                raise scanner.error("unterminated attribute value", pos)
             if ch == "<":
-                raise scanner.error("'<' is not allowed in attribute values")
+                raise scanner.error(
+                    "'<' is not allowed in attribute values", pos)
             if ch == "&":
+                scanner.pos = pos
                 parts.append(self._parse_reference())
-                continue
-            if ch in "\t\r\n":
+                pos = scanner.pos
+            elif ch in "\t\r\n":
                 # Attribute-value normalization (XML 1.0 §3.3.3).
                 parts.append(" ")
-                if ch == "\r" and scanner.peek(1) == "\n":
-                    scanner.advance()
+                pos += 2 if text.startswith("\r\n", pos) else 1
             else:
-                if not is_xml_char(ch):
-                    raise scanner.error(
-                        f"illegal character U+{ord(ch):04X} in attribute")
-                parts.append(ch)
-            scanner.advance()
+                raise scanner.error(
+                    f"illegal character U+{ord(ch):04X} in attribute", pos)
+            end = run(text, pos).end()
+            parts.append(text[pos:end])
+            pos = end
 
     def _parse_content(self, element: Element) -> None:
         scanner = self._scanner
         assert scanner is not None
-        text_parts: list[str] = []
-
-        def flush() -> None:
-            if text_parts:
-                element.append_child(Text("".join(text_parts)))
-                text_parts.clear()
-
+        text = scanner.text
+        text_run = _TEXT_RUN.match
+        parts: list[str] = []
+        pos = scanner.pos
         while True:
-            ch = scanner.peek()
-            if not ch:
-                raise scanner.error(
-                    f"unexpected end of input inside <{element.name}>")
+            run = text_run(text, pos)
+            if run is not None:
+                parts.append(run.group())
+                pos = run.end()
+            ch = text[pos:pos + 1]
             if ch == "<":
-                if scanner.startswith("</"):
-                    flush()
+                if parts:
+                    element.append_child(Text("".join(parts)))
+                    parts.clear()
+                scanner.pos = pos
+                if text.startswith("</", pos):
                     return
-                if scanner.startswith("<!--"):
-                    flush()
+                if text.startswith("<!--", pos):
                     element.append_child(self._parse_comment())
-                elif scanner.startswith("<![CDATA["):
-                    scanner.advance(9)
+                elif text.startswith("<![CDATA[", pos):
+                    scanner.pos = pos + 9
                     data = scanner.read_until("]]>", "CDATA section")
                     element.append_child(Text(data, is_cdata=True))
-                elif scanner.startswith("<?"):
-                    flush()
+                elif text.startswith("<?", pos):
                     element.append_child(self._parse_pi())
-                elif scanner.startswith("<!"):
+                elif text.startswith("<!", pos):
                     raise scanner.error("markup declaration not allowed here")
                 else:
-                    flush()
                     element.append_child(self._parse_element(element))
+                pos = scanner.pos
             elif ch == "&":
-                text_parts.append(self._parse_reference())
-            elif ch == "]" and scanner.startswith("]]>"):
-                raise scanner.error("']]>' is not allowed in content")
-            else:
-                if ch == "\r":
-                    # End-of-line normalization (XML 1.0 §2.11).
-                    text_parts.append("\n")
-                    scanner.advance()
-                    if scanner.peek() == "\n":
-                        scanner.advance()
-                    continue
-                if not is_xml_char(ch):
+                scanner.pos = pos
+                parts.append(self._parse_reference())
+                pos = scanner.pos
+            elif ch == "]":
+                if text.startswith("]]>", pos):
                     raise scanner.error(
-                        f"illegal character U+{ord(ch):04X} in content")
-                text_parts.append(ch)
-                scanner.advance()
+                        "']]>' is not allowed in content", pos)
+                parts.append(ch)
+                pos += 1
+            elif ch == "\r":
+                # End-of-line normalization (XML 1.0 §2.11).
+                parts.append("\n")
+                pos += 2 if text.startswith("\r\n", pos) else 1
+            elif not ch:
+                raise scanner.error(
+                    f"unexpected end of input inside <{element.name}>", pos)
+            else:
+                raise scanner.error(
+                    f"illegal character U+{ord(ch):04X} in content", pos)
 
     def _parse_end_tag(self, element: Element) -> None:
         scanner = self._scanner

@@ -12,6 +12,7 @@ is served normally.
 from __future__ import annotations
 
 import http.client
+import json
 import socket
 
 import pytest
@@ -161,6 +162,31 @@ class TestBodyFraming:
         if reply:  # a response is optional for a vanished client...
             assert _status_line(reply) == 400
         _assert_still_serving(server)  # ...but survival is not
+
+
+class TestUndecodableUpload:
+    """A body the XML decoder rejects is the client's fault: 400 with
+    the store's ``xml-parse`` diagnostic, not a 500 that closes."""
+
+    @pytest.mark.parametrize("body", [
+        b'<goldmodel name="\xff"/>',
+        b'<?xml version="1.0" encoding="bogus"?><goldmodel/>',
+    ], ids=["invalid-utf-8", "unknown-encoding"])
+    def test_put_is_400_xml_parse(self, server, body):
+        connection = http.client.HTTPConnection(
+            server.host, server.port, timeout=10)
+        try:
+            connection.request("PUT", "/models/garbled", body=body)
+            response = connection.getresponse()
+            payload = json.loads(response.read())
+            assert response.status == 400
+            assert response.getheader("Connection") != "close"
+            assert payload["kind"] == "parse"
+            assert [issue["code"] for issue in payload["issues"]] == \
+                ["xml-parse"]
+        finally:
+            connection.close()
+        _assert_still_serving(server)
 
 
 class TestApplicationCrash:

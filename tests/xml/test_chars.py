@@ -1,7 +1,10 @@
 """Character-class predicates and name validation."""
 
+import re
+
 import pytest
 
+from repro.xml import chars
 from repro.xml.chars import (
     collapse_whitespace,
     is_name,
@@ -106,3 +109,31 @@ class TestWhitespaceHelpers:
     def test_collapse(self):
         assert collapse_whitespace("  a \t b\n\nc ") == "a b c"
         assert collapse_whitespace("") == ""
+
+
+class TestRegexClasses:
+    """The lexer's regex classes and the bisect predicates come from the
+    same range tables; both are constant between range boundaries, so
+    agreeing on every boundary (and its neighbours) is agreeing
+    everywhere."""
+
+    @staticmethod
+    def _boundaries():
+        tables = (chars._CHAR_RANGES, chars._NAME_START_RANGES,
+                  chars._NAME_EXTRA_RANGES)
+        points = {0, 0x10FFFF}
+        for table in tables:
+            for low, high in table:
+                points.update((low - 1, low, high, high + 1))
+        return sorted(cp for cp in points if 0 <= cp <= 0x10FFFF)
+
+    @pytest.mark.parametrize("body,predicate,negated", [
+        (chars.NON_CHAR_CLASS, is_xml_char, True),
+        (chars.NAME_START_CLASS, is_name_start_char, False),
+        (chars.NAME_CHAR_CLASS, is_name_char, False),
+    ], ids=["non-char", "name-start", "name-char"])
+    def test_class_agrees_with_predicate(self, body, predicate, negated):
+        pattern = re.compile(f"[{body}]")
+        for cp in self._boundaries():
+            expected = predicate(chr(cp)) is not negated
+            assert (pattern.match(chr(cp)) is not None) is expected, hex(cp)

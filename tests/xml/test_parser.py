@@ -159,6 +159,13 @@ class TestCdataCommentsPis:
         assert text.is_cdata
         assert text.data == "<not-markup> && stuff"
 
+    def test_text_around_cdata_keeps_document_order(self):
+        doc = parse("<a>x<![CDATA[y]]>z</a>")
+        children = doc.root_element.children
+        assert [(c.data, c.is_cdata) for c in children] == \
+            [("x", False), ("y", True), ("z", False)]
+        assert doc.root_element.string_value() == "xyz"
+
     def test_comment(self):
         doc = parse("<a><!-- note --></a>")
         comment = doc.root_element.children[0]
@@ -259,3 +266,12 @@ class TestBytesInput:
     def test_utf16_le_bom(self):
         doc = parse("<a>x</a>".encode("utf-16"))
         assert doc.root_element.text_content() == "x"
+
+    def test_bytes_invalid_in_their_encoding_are_a_syntax_error(self):
+        with pytest.raises(XMLSyntaxError,
+                           match="not valid utf-8 at byte 17"):
+            parse(b'<goldmodel name="\xff"/>')
+
+    def test_unknown_encoding_is_a_syntax_error(self):
+        with pytest.raises(XMLSyntaxError, match="unknown encoding 'bogus'"):
+            parse(b'<?xml version="1.0" encoding="bogus"?><a/>')
