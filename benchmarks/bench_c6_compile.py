@@ -11,11 +11,19 @@ the compiled path plugs in) and over HTTP (where users feel it):
   state of the model-repository server's rebuilds.  Compiling must
   never regress this; the benchmark also reports how many publishes
   amortize the one-time closure compilation.
-* **Warm HTTP serving** — a keep-alive sweep against a live
-  :class:`repro.server.ModelServer` under both engines.  Warm requests
-  are served from the site cache, so this is a no-regression guard for
-  the serving path around the engine, comparable to the ``clean``
-  sweeps in ``BENCH_r5_faults.json`` / ``BENCH_s4_server.json``.
+* **Warm HTTP serving** — keep-alive sweeps against two live
+  :class:`repro.server.ModelServer` instances, one whose site each
+  engine built.  Warm requests are served from the site cache, so this
+  is a no-regression guard for the serving path around the engine,
+  comparable to the ``clean`` sweeps in ``BENCH_r5_faults.json`` /
+  ``BENCH_s4_server.json``.
+
+The engines alternate one publish (one sweep) at a time, and every
+ratio is the median of the per-pair ratios, so host-speed drift during
+the run moves both sides of a pair alike instead of landing on one
+engine's block of samples.  Garbage is collected before each sample:
+a publish leaves cyclic DOM garbage behind, and a collection of it
+inside the next timed publish doubled that publish's time.
 
 Every measured publish is also checked byte-for-byte against the other
 engine — a benchmark of a wrong answer would be meaningless.
@@ -30,6 +38,8 @@ Results merge into ``BENCH_c6_compile.json`` under ``--label``::
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
 import http.client
 import json
 import os
@@ -54,7 +64,8 @@ SIZES = {
                   measures_per_fact=8),
 }
 
-#: Acceptance (ISSUE 6): compiled cold publish at least 2x faster.
+#: Acceptance: compiled cold publish at least 2x faster (median of
+#: the per-pair ratios).
 MIN_COLD_SPEEDUP = 2.0
 #: The smoke gate runs the medium model, where the per-publish costs
 #: both engines share (model→DOM conversion, stylesheet parsing) are a
@@ -69,38 +80,61 @@ MIN_WARM_SPEEDUP = 0.95
 MAX_WARM_HTTP_P50_RATIO = 1.5
 
 
-def _median_publish(model, *, repeats, cold):
-    """Median seconds for one ``publish_multi_page`` call."""
-    samples = []
-    if not cold:
-        publish_multi_page(model)  # prime the stylesheet caches
-    for _ in range(repeats):
+#: (name, compile enabled) for the two engines.
+ENGINES = (("compiled", True), ("interpreted", False))
+
+
+def _publish(model, enabled, *, cold):
+    """Seconds for one ``publish_multi_page`` call, and its pages."""
+    set_compile_enabled(enabled)
+    try:
         if cold:
             clear_publisher_caches()
+        gc.collect()
         start = perf_counter()
-        publish_multi_page(model)
-        samples.append(perf_counter() - start)
-    return statistics.median(samples)
+        pages = publish_multi_page(model).pages
+        return perf_counter() - start, pages
+    finally:
+        set_compile_enabled(None)
+
+
+def _paired_publishes(model, *, repeats, cold):
+    """*repeats* pairs of publishes, one per engine, alternating.
+
+    Returns each engine's median milliseconds and the median of the
+    per-pair ratios interpreted / compiled.  The engine that goes first
+    alternates from pair to pair.
+    """
+    if not cold:
+        for _, enabled in ENGINES:  # prime the stylesheet caches
+            _publish(model, enabled, cold=False)
+    samples = {engine: [] for engine, _ in ENGINES}
+    ratios = []
+    for pair in range(repeats):
+        order = ENGINES if pair % 2 == 0 else ENGINES[::-1]
+        for engine, enabled in order:
+            samples[engine].append(_publish(model, enabled, cold=cold)[0])
+        ratios.append(samples["interpreted"][-1] / samples["compiled"][-1])
+    return ({engine: 1000 * statistics.median(values)
+             for engine, values in samples.items()},
+            statistics.median(ratios))
 
 
 def _engine_times(model, *, repeats):
-    """{cold,warm} medians for both engines, plus byte-identity check."""
-    times = {}
-    pages = {}
-    for engine, enabled in (("compiled", True), ("interpreted", False)):
-        set_compile_enabled(enabled)
-        try:
-            times[engine] = {
-                "cold_ms": 1000 * _median_publish(
-                    model, repeats=repeats, cold=True),
-                "warm_ms": 1000 * _median_publish(
-                    model, repeats=repeats, cold=False),
-            }
-            pages[engine] = publish_multi_page(model).pages
-        finally:
-            set_compile_enabled(None)
+    """{cold,warm} medians for both engines, the paired speedups, and
+    the byte-identity check."""
+    cold_ms, cold_speedup = _paired_publishes(model, repeats=repeats,
+                                              cold=True)
+    warm_ms, warm_speedup = _paired_publishes(model, repeats=repeats,
+                                              cold=False)
+    times = {engine: {"cold_ms": cold_ms[engine],
+                      "warm_ms": warm_ms[engine]}
+             for engine, _ in ENGINES}
+    pages = {engine: _publish(model, enabled, cold=False)[1]
+             for engine, enabled in ENGINES}
     identical = pages["compiled"] == pages["interpreted"]
-    return times, identical, len(pages["compiled"])
+    return (times, {"cold": cold_speedup, "warm": warm_speedup},
+            identical, len(pages["compiled"]))
 
 
 def _compile_cost(repeats):
@@ -121,7 +155,10 @@ def _compile_cost(repeats):
 
 
 def _http_sweep(server, name, pages, *, clients, requests_per_client):
-    """Concurrent warm keep-alive GET sweep; every response must be 200."""
+    """Concurrent warm keep-alive GET sweep; every response must be 200.
+
+    Returns the sorted latencies (s), the elapsed wall time (s) and the
+    violations."""
     latencies: list[list[float]] = [[] for _ in range(clients)]
     violations: list[str] = []
     lock = threading.Lock()
@@ -160,47 +197,75 @@ def _http_sweep(server, name, pages, *, clients, requests_per_client):
         thread.join()
     elapsed = perf_counter() - start
     merged = sorted(s for per_client in latencies for s in per_client)
-    total = len(merged)
-    return {
-        "requests": total,
-        "throughput_rps": total / elapsed,
-        "p50_ms": 1000 * merged[total // 2],
-        "p99_ms": 1000 * merged[min(total - 1, (total * 99) // 100)],
-        "violations": violations,
-    }
+    return merged, elapsed, violations
 
 
-def _server_run(xml, name, *, clients, requests_per_client):
-    """Warm HTTP sweeps under both engines against a fresh server."""
-    results = {}
-    for engine, enabled in (("compiled", True), ("interpreted", False)):
-        set_compile_enabled(enabled)
-        clear_publisher_caches()
+def _p50_ms(latencies):
+    return 1000 * latencies[len(latencies) // 2]
+
+
+def _start_server(stack, xml, name, enabled):
+    """A fresh server whose site one engine built; (server, pages)."""
+    set_compile_enabled(enabled)
+    clear_publisher_caches()
+    try:
+        server = stack.enter_context(ModelServer())
+        connection = http.client.HTTPConnection(
+            server.host, server.port, timeout=60)
         try:
-            with ModelServer() as server:
-                connection = http.client.HTTPConnection(
-                    server.host, server.port, timeout=60)
-                try:
-                    connection.request("PUT", f"/models/{name}", body=xml)
-                    assert connection.getresponse().read() is not None
-                    connection.request("GET", f"/site/{name}/index.html")
-                    response = connection.getresponse()
-                    assert response.status == 200, response.read()
-                    response.read()
-                finally:
-                    connection.close()
-                pages = sorted(server.app.cache.peek(name, "multi").pages)
-                # Unmeasured warmup: touch every page and settle the
-                # thread pool before timing.
-                _http_sweep(server, name, pages, clients=clients,
-                            requests_per_client=max(
-                                5, requests_per_client // 4))
-                results[engine] = _http_sweep(
-                    server, name, pages, clients=clients,
-                    requests_per_client=requests_per_client)
+            connection.request("PUT", f"/models/{name}", body=xml)
+            assert connection.getresponse().read() is not None
+            connection.request("GET", f"/site/{name}/index.html")
+            response = connection.getresponse()
+            assert response.status == 200, response.read()
+            response.read()
         finally:
-            set_compile_enabled(None)
-    return results
+            connection.close()
+    finally:
+        set_compile_enabled(None)
+    return server, sorted(server.app.cache.peek(name, "multi").pages)
+
+
+def _server_run(xml, name, *, clients, requests_per_client, rounds):
+    """Warm HTTP sweeps, alternating between the engines' servers.
+
+    Returns each engine's summary over its *rounds* sweeps and the
+    median of the per-round p50 ratios compiled / interpreted.
+    """
+    sweeps = {engine: [] for engine, _ in ENGINES}
+    with contextlib.ExitStack() as stack:
+        servers = {engine: _start_server(stack, xml, name, enabled)
+                   for engine, enabled in ENGINES}
+        for server, pages in servers.values():
+            # Unmeasured warmup: touch every page and settle the
+            # thread pool before timing.
+            _http_sweep(server, name, pages, clients=clients,
+                        requests_per_client=max(
+                            5, requests_per_client // 4))
+        for number in range(rounds):
+            order = ENGINES if number % 2 == 0 else ENGINES[::-1]
+            for engine, _ in order:
+                server, pages = servers[engine]
+                gc.collect()
+                sweeps[engine].append(_http_sweep(
+                    server, name, pages, clients=clients,
+                    requests_per_client=requests_per_client))
+    ratio = statistics.median(
+        _p50_ms(compiled[0]) / _p50_ms(interpreted[0])
+        for compiled, interpreted in zip(sweeps["compiled"],
+                                         sweeps["interpreted"]))
+    results = {}
+    for engine, runs in sweeps.items():
+        merged = sorted(s for latencies, _, _ in runs for s in latencies)
+        total = len(merged)
+        results[engine] = {
+            "requests": total,
+            "throughput_rps": total / sum(elapsed for _, elapsed, _ in runs),
+            "p50_ms": _p50_ms(merged),
+            "p99_ms": 1000 * merged[min(total - 1, (total * 99) // 100)],
+            "violations": [v for _, _, found in runs for v in found],
+        }
+    return results, ratio
 
 
 def run(size, *, repeats, clients, requests_per_client):
@@ -208,33 +273,29 @@ def run(size, *, repeats, clients, requests_per_client):
     # Warm the process-global caches (xpath parse, patterns, AVTs) once
     # per engine: they survive clear_publisher_caches(), so without this
     # whichever engine runs first pays all their misses.
-    for enabled in (True, False):
-        set_compile_enabled(enabled)
-        try:
-            clear_publisher_caches()
-            publish_multi_page(model)
-        finally:
-            set_compile_enabled(None)
+    for _, enabled in ENGINES:
+        _publish(model, enabled, cold=True)
     clear_publisher_caches()
-    times, identical, page_count = _engine_times(model, repeats=repeats)
+    times, speedups, identical, page_count = _engine_times(
+        model, repeats=repeats)
     compile_ms, compile_stats = _compile_cost(repeats)
     clear_publisher_caches()
 
     warm_saving_ms = (times["interpreted"]["warm_ms"]
                       - times["compiled"]["warm_ms"])
-    http = _server_run(model_to_xml(model).encode("utf-8"),
-                       f"bench-{size}", clients=clients,
-                       requests_per_client=requests_per_client)
+    http, http_p50_ratio = _server_run(
+        model_to_xml(model).encode("utf-8"), f"bench-{size}",
+        clients=clients, requests_per_client=requests_per_client,
+        rounds=repeats)
     return {
         "size": size,
         "model": dict(SIZES[size]),
         "pages": page_count,
         "byte_identical": identical,
         "publish": times,
-        "cold_speedup": (times["interpreted"]["cold_ms"]
-                         / times["compiled"]["cold_ms"]),
-        "warm_speedup": (times["interpreted"]["warm_ms"]
-                         / times["compiled"]["warm_ms"]),
+        # Medians of the per-pair ratios interpreted / compiled.
+        "cold_speedup": speedups["cold"],
+        "warm_speedup": speedups["warm"],
         "compile_ms": compile_ms,
         "compile_stats": compile_stats,
         # Publishes after which ahead-of-time compilation has paid for
@@ -242,8 +303,8 @@ def run(size, *, repeats, clients, requests_per_client):
         "publishes_to_amortize": (compile_ms / warm_saving_ms
                                   if warm_saving_ms > 0 else None),
         "http_warm": http,
-        "http_warm_p50_ratio": (http["compiled"]["p50_ms"]
-                                / http["interpreted"]["p50_ms"]),
+        # Median of the per-round ratios compiled / interpreted.
+        "http_warm_p50_ratio": http_p50_ratio,
     }
 
 
@@ -272,10 +333,11 @@ def main(argv=None) -> int:
     publish = result["publish"]
     print(f"cold publish: compiled {publish['compiled']['cold_ms']:.1f} ms "
           f"vs interpreted {publish['interpreted']['cold_ms']:.1f} ms "
-          f"({result['cold_speedup']:.2f}x, {result['pages']} pages)")
+          f"({result['cold_speedup']:.2f}x median pair, "
+          f"{result['pages']} pages)")
     print(f"warm publish: compiled {publish['compiled']['warm_ms']:.1f} ms "
           f"vs interpreted {publish['interpreted']['warm_ms']:.1f} ms "
-          f"({result['warm_speedup']:.2f}x)")
+          f"({result['warm_speedup']:.2f}x median pair)")
     amortize = result["publishes_to_amortize"]
     print(f"compile:      {result['compile_ms']:.1f} ms "
           f"({result['compile_stats']}), amortized after "
@@ -285,7 +347,8 @@ def main(argv=None) -> int:
     print(f"http warm:    compiled {http['compiled']['throughput_rps']:.0f} "
           f"req/s (p50 {http['compiled']['p50_ms']:.2f} ms) vs interpreted "
           f"{http['interpreted']['throughput_rps']:.0f} req/s "
-          f"(p50 {http['interpreted']['p50_ms']:.2f} ms)")
+          f"(p50 {http['interpreted']['p50_ms']:.2f} ms; p50 ratio "
+          f"{result['http_warm_p50_ratio']:.2f} median pair)")
     print(f"byte-identical: {result['byte_identical']}")
 
     if not args.smoke:

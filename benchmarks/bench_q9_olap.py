@@ -5,7 +5,7 @@ the acceptance questions:
 
 * **Uncached execution rate** — the time for a query request after the
   aggregate cache is invalidated (synthetic star already generated, so
-  the sample isolates cube execution + both renderings), measured as
+  the sample isolates cube execution + the JSON rendering), measured as
   the median over several invalidate-and-query rounds; its reciprocal
   is the single-request execution rate the cache must beat.
 * **Warm-cache throughput** — concurrent keep-alive clients sweeping a
@@ -98,7 +98,8 @@ def bench_uncached(server, name: str, repeats: int) -> dict:
 
     The synthetic star survives invalidation (datasets are cached per
     seed), so this isolates the work the cache elides on a hit: cube
-    execution plus the JSON and XSLT renderings.
+    execution plus the JSON rendering (the XML is rendered only when a
+    client asks for it).
     """
     samples = []
     connection = _connect(server)

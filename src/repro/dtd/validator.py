@@ -11,7 +11,12 @@ difference empirically.
 
 from __future__ import annotations
 
-from ..xml.chars import is_name, is_ncname
+from ..xml.chars import (
+    collapse_whitespace,
+    is_name,
+    is_ncname,
+    split_xml_space,
+)
 from ..xml.dom import Document, Element, Text
 from ..xsd.errors import ValidationReport
 from .ast import AttributeDef, DTD
@@ -168,7 +173,7 @@ class DTDValidator:
         kind = definition.type
         if kind == "CDATA":
             return
-        normalized = " ".join(value.split())
+        normalized = collapse_whitespace(value)
         if kind == "ID":
             if not is_ncname(normalized) and not is_name(normalized):
                 report.add(f"attribute {att!r}: {normalized!r} is not a "
@@ -182,7 +187,7 @@ class DTDValidator:
         elif kind == "IDREF":
             idrefs.append((normalized, path, line))
         elif kind == "IDREFS":
-            for token in normalized.split():
+            for token in split_xml_space(normalized):
                 idrefs.append((token, path, line))
         elif kind in ("NMTOKEN", "ENTITY"):
             if not normalized or " " in normalized:

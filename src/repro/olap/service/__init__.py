@@ -22,7 +22,7 @@ from .query import (
     resolve_query,
 )
 from .render import RESULT_XSL, render_json, render_xml, result_payload
-from .service import RESULT_FORMATS, OlapService
+from .service import RESULT_FORMATS, OlapService, QueryRenderError
 
 __all__ = [
     "AggregateCache", "AggregateEntry", "QueryExecutionError",
@@ -30,4 +30,5 @@ __all__ = [
     "QueryError", "QuerySpec", "RawQuery", "parse_query",
     "resolve_query", "RESULT_XSL", "render_json", "render_xml",
     "result_payload", "RESULT_FORMATS", "OlapService",
+    "QueryRenderError",
 ]

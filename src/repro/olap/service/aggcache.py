@@ -12,7 +12,9 @@ the compute-bound traffic class:
   N clients issuing the same fresh query perform exactly one
   execution.  Waiters snapshot an execution token before blocking, so
   a waiter that slept through a *failed* attempt shares its outcome
-  (stale entry or error) instead of re-running a doomed execution.
+  (stale entry or error) instead of re-running a doomed execution; a
+  waiter that slept through a success for another content hash runs
+  its own query, so "stale" always means an execution failed.
 * **Degrades, never hangs.**  A bounded slot pool sheds executions
   that cannot start within the wait budget
   (:class:`QueryOverloadError` → 503 + Retry-After); a *failed*
@@ -33,7 +35,7 @@ off; ``olap.cache.*`` counters mirror them when profiling.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from ...obs.recorder import RECORDER as _REC
@@ -69,18 +71,27 @@ class QueryExecutionError(Exception):
 
 @dataclass(frozen=True)
 class AggregateEntry:
-    """One materialized result: renderings, ETags, and provenance."""
+    """One materialized result: renderings, ETags, and provenance.
+
+    An execution stores only the JSON; the XML view is added by
+    :meth:`~repro.olap.service.service.OlapService.rendering` on the
+    first XML request (DESIGN.md §16.8).
+    """
 
     name: str
     content_hash: str
     seed: int
     query_key: str
-    #: format ("json" / "xml") → encoded result bytes.
+    #: format → encoded result bytes: "json" always, "xml" once derived.
     renderings: dict[str, bytes]
     #: format → strong ETag of those bytes.
     etags: dict[str, str]
     row_count: int
     sliced_out: int
+    #: Serializes deriving a view, so N concurrent first requests for
+    #: it render once.
+    view_lock: threading.Lock = field(
+        default_factory=threading.Lock, compare=False, repr=False)
 
 
 class AggregateCache:
@@ -199,9 +210,13 @@ class AggregateCache:
                         self._errors.pop(key, None)
                     self._entries[key] = entry
                     return entry, "hit"
-            if self._tokens.get(key, 0) != token_before:
-                # The attempt we slept through finished and the entry
-                # is still stale: it failed.  Share its outcome.
+            with self._meta_lock:
+                failed = key in self._errors
+            if failed and self._tokens.get(key, 0) != token_before:
+                # The attempt we slept through finished, failed, and
+                # left the entry stale: share its outcome.  (One that
+                # succeeded for another content hash — a re-upload
+                # raced this request — is no failure: execute ours.)
                 self._bump("coalesced")
                 return self._degraded(key), "stale"
             if not self._slots.acquire(timeout=self._wait_s):
@@ -312,7 +327,9 @@ class AggregateCache:
             stats["degraded_keys"] = [
                 f"{key[0]}/{key[1]}/{key[2][:12]}"
                 for key in sorted(self._errors)]
+        # list() copies in one C call, with no thread switch inside: a
+        # first XML request may add to an entry's renderings meanwhile.
         stats["resident_bytes"] = sum(
             len(data) for entry in list(self._entries.values())
-            for data in entry.renderings.values())
+            for data in list(entry.renderings.values()))
         return stats

@@ -1,15 +1,17 @@
 """Result renderings for the OLAP query service (DESIGN.md §16).
 
-One executed :class:`~repro.olap.engine.CubeResult` materializes as two
+One executed :class:`~repro.olap.engine.CubeResult` has two
 deterministic byte strings:
 
 * **JSON** — the canonical payload dict serialized with sorted keys;
   non-finite measure values (an ``AVG`` over an empty group is NaN)
-  become ``null`` so the body stays strict JSON;
+  become ``null`` so the body stays strict JSON.  This is what an
+  execution stores;
 * **XML** — the payload lowered into a ``<cuberesult>`` tree and pushed
   through the repo's own XSLT engine (the paper's presentation
   pipeline, pointed at query results the way ``/dashboard`` points it
-  at telemetry).
+  at telemetry).  The service renders it from ``json.loads`` of the
+  stored JSON, which gives back the payload exactly (DESIGN.md §16.8).
 
 Determinism matters: the chaos oracle replays queries offline and
 compares bytes, and the strong ETags (quoted SHA-256, same scheme as

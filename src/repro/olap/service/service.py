@@ -9,8 +9,10 @@
   materialized results;
 * the execution path: resolve the canonical query, synthesize (or
   reuse) the dataset, run the :class:`~repro.olap.engine.CubeEngine`,
-  render JSON + XML, compute ETags — all under the cache's
-  ``olap.execute`` span, fault point, and coalescing machinery.
+  render the JSON and its ETag — all under the cache's
+  ``olap.execute`` span, fault point, and coalescing machinery;
+* the XML view: rendered from an entry's stored JSON on the first XML
+  request and kept on the entry (DESIGN.md §16.8).
 
 It deliberately does not import anything from :mod:`repro.server`;
 the server imports *it*.
@@ -18,6 +20,7 @@ the server imports *it*.
 
 from __future__ import annotations
 
+import json
 import threading
 
 from ...faults import FAULTS, fault_point
@@ -36,14 +39,19 @@ from .render import (
     result_payload,
 )
 
-__all__ = ["OlapService", "RESULT_FORMATS"]
+__all__ = ["OlapService", "QueryRenderError", "RESULT_FORMATS"]
 
 _EXECUTE_FAULT = fault_point(
     "olap.execute", "raise/delay inside a materialized-aggregate "
                     "execution, before the engine runs (service.py)")
 
-#: The formats every materialized entry carries.
+#: The formats a query can be served in; an execution stores the
+#: first, and the others are derived from it on demand.
 RESULT_FORMATS = ("json", "xml")
+
+
+class QueryRenderError(Exception):
+    """Rendering the XML of a stored result failed; nothing was stored."""
 
 
 class OlapService:
@@ -124,19 +132,47 @@ class OlapService:
                 payload = result_payload(
                     model, content_hash, spec, result,
                     dataset=star.summary())
-                renderings = {"json": render_json(payload),
-                              "xml": render_xml(payload)}
+                data = render_json(payload)
                 return AggregateEntry(
                     name=name, content_hash=content_hash,
                     seed=spec.seed, query_key=query_key,
-                    renderings=renderings,
-                    etags={fmt: result_etag(data)
-                           for fmt, data in renderings.items()},
+                    renderings={"json": data},
+                    etags={"json": result_etag(data)},
                     row_count=payload["row_count"],
                     sliced_out=payload["sliced_out"])
 
         return self.cache.entry(name, content_hash, spec.seed,
                                 query_key, _run)
+
+    def rendering(self, entry: AggregateEntry,
+                  fmt: str) -> tuple[bytes, str]:
+        """*entry*'s bytes in *fmt* (one of :data:`RESULT_FORMATS`)
+        and their ETag.
+
+        The JSON is what the execution stored.  The XML is rendered
+        from it on the entry's first XML request, under the entry's
+        lock, and kept on the entry.  A failed rendering raises
+        :class:`QueryRenderError` and stores nothing, so the next
+        request retries; the cache never sees it.
+        """
+        if fmt == "xml" and "xml" not in entry.renderings:
+            with entry.view_lock:
+                if "xml" not in entry.renderings:
+                    with _REC.span("olap.render", model=entry.name,
+                                   key=entry.query_key[:12]):
+                        try:
+                            data = render_xml(
+                                json.loads(entry.renderings["json"]))
+                        except Exception as exc:
+                            raise QueryRenderError(
+                                f"XML rendering failed for {entry.name}/"
+                                f"{entry.query_key[:12]}: "
+                                f"{type(exc).__name__}: {exc}") from exc
+                    # The ETag first: a lock-free reader that sees the
+                    # bytes must find their ETag.
+                    entry.etags["xml"] = result_etag(data)
+                    entry.renderings["xml"] = data
+        return entry.renderings[fmt], entry.etags[fmt]
 
     # -- introspection -----------------------------------------------------
 

@@ -54,6 +54,7 @@ from ..olap.service import (
     QueryError,
     QueryExecutionError,
     QueryOverloadError,
+    QueryRenderError,
     RESULT_FORMATS,
     parse_query,
     resolve_query,
@@ -224,6 +225,8 @@ class ModelRepositoryApp:
                     response = _error(
                         500, f"query execution failed: {exc.cause}",
                         kind="olap")
+                except QueryRenderError as exc:
+                    response = _error(500, str(exc), kind="olap")
         except BaseException:
             # Whatever escapes (a transport bug, KeyboardInterrupt) must
             # not leave a stale context pinned to this pooled thread.
@@ -399,7 +402,8 @@ class ModelRepositoryApp:
         several predicates); POST reads the same vocabulary from a JSON
         body.  ``format`` selects the rendering and is not part of the
         canonical query key — both renderings belong to one
-        materialization.
+        materialization, which stores the JSON; the XML is derived from
+        it on the first XML request (DESIGN.md §16.8).
         """
         fmt = query.get("format", "json")
         if fmt not in RESULT_FORMATS:
@@ -431,10 +435,10 @@ class ModelRepositoryApp:
               "coalesced": "olap_coalesced",
               "stale": "stale_served"}[outcome])
         stale = entry.content_hash != record.content_hash
-        etag = entry.etags[fmt]
+        data, etag = self.olap.rendering(entry, fmt)
         if self._not_modified(headers, etag):
             return Response(304, b"", [("ETag", etag)])
-        response = Response(200, entry.renderings[fmt], [
+        response = Response(200, data, [
             ("Content-Type", CONTENT_TYPES[f".{fmt}"]),
             ("ETag", etag),
             ("Cache-Control", "no-cache"),

@@ -228,8 +228,12 @@ class BuildStore:
             f"{content_hash}-{seed}-{_key_digest(query_key)}.json")
 
     def store_aggregate(self, entry) -> bool:
-        """Persist one materialized aggregate (see :meth:`store_site`
-        for why this overwrites unconditionally)."""
+        """Persist one materialized aggregate's JSON (see
+        :meth:`store_site` for why this overwrites unconditionally).
+
+        Only the JSON is stored: every other format is a view a
+        process derives from it on demand (DESIGN.md §16.8).
+        """
         path = self._agg_path(entry.content_hash, entry.seed,
                               entry.query_key)
         payload = {
@@ -238,9 +242,9 @@ class BuildStore:
             "content_hash": entry.content_hash,
             "seed": entry.seed,
             "query_key": entry.query_key,
-            "renderings": {fmt: data.decode("utf-8")
-                           for fmt, data in entry.renderings.items()},
-            "etags": dict(entry.etags),
+            "renderings": {"json": entry.renderings["json"]
+                           .decode("utf-8")},
+            "etags": {"json": entry.etags["json"]},
             "row_count": entry.row_count,
             "sliced_out": entry.sliced_out,
         }
@@ -252,7 +256,11 @@ class BuildStore:
 
     def load_aggregate(self, name: str, content_hash: str, seed: int,
                        query_key: str):
-        """The stored aggregate, rebound to *name*; None on any miss."""
+        """The stored aggregate, rebound to *name*; None on any miss.
+
+        Loads the JSON alone, also from an artifact that holds the XML
+        too (written before the XML became a view of the JSON).
+        """
         from ..olap.service.aggcache import AggregateEntry
 
         path = self._agg_path(content_hash, seed, query_key)
@@ -271,9 +279,9 @@ class BuildStore:
         return AggregateEntry(
             name=name, content_hash=content_hash, seed=seed,
             query_key=query_key,
-            renderings={fmt: text.encode("utf-8")
-                        for fmt, text in payload["renderings"].items()},
-            etags=dict(payload["etags"]),
+            renderings={"json": payload["renderings"]["json"]
+                        .encode("utf-8")},
+            etags={"json": payload["etags"]["json"]},
             row_count=payload["row_count"],
             sliced_out=payload["sliced_out"])
 

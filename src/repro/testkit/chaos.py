@@ -17,17 +17,22 @@ seed-derived rounds against it.  Each round is determined by
    failures, per-page render failures, incremental-diff failures,
    OLAP execution/generation failures, transport delays and drops — is
    activated while concurrent :class:`RepositoryClient` workers fetch
-   models, pages, OLAP query results, and health, and a mid-phase
-   version flip forces rebuilds to happen *under* the faults.  Warm rebuilds route through the incremental republisher
-   (the cache already holds the previous build plus its dependency
-   index), so the flip exercises the diff path specifically.
+   models, pages, OLAP query results (a seeded share of them as XML),
+   and health, and a mid-phase version flip forces rebuilds to happen
+   *under* the faults.  Warm rebuilds route through the incremental
+   republisher (the cache already holds the previous build plus its
+   dependency index), so the flip exercises the diff path specifically.
 4. **Recover** (faults off): every resource must come back fresh,
-   current, and unmarked.
+   current, and unmarked; each query is fetched once, a seeded share of
+   them as XML.
 
 Invariants checked on every response:
 
 * no hung connections — a client socket timeout is always a violation;
-* no 5xx the active fault plan cannot explain;
+* no 5xx the active fault plan cannot explain — a JSON query runs no
+  XSLT, so only an OLAP fault explains its 500, while an XML query's
+  500 may also come from ``xslt.transform`` (DESIGN.md §16.8); and no
+  stale query result unless an OLAP execution fault is armed;
 * served bytes are never torn: every 200 body — page *or* OLAP query
   result — is byte-identical to an expected rendering of some version,
   and after recovery it is the *current* version with no staleness
@@ -62,7 +67,7 @@ from urllib.parse import urlencode
 
 from ..faults import FAULTS, FaultPlan
 from ..mdm import model_to_xml, sales_model, two_facts_model
-from ..olap.service import DatasetConfig, OlapService
+from ..olap.service import DatasetConfig, OlapService, RESULT_FORMATS
 from ..server import ModelRepositoryApp, ModelServer
 from ..web import RepositoryClient, RetriesExhausted, RetryPolicy
 
@@ -95,12 +100,21 @@ TRANSPORT_POINTS = frozenset({"httpd.read", "httpd.write"})
 BUILD_POINTS = frozenset({"cache.rebuild", "publish.page",
                           "publish.diff", "xslt.transform"})
 
-#: Points whose ``raise`` mode may surface as a 500 on query paths
-#: (cold materialization) — warm queries degrade to a marked-stale 200.
-#: ``xslt.transform`` belongs here too: the XML rendering of every
-#: materialization runs through the same XSLT engine as the site pages.
-OLAP_POINTS = frozenset({"olap.execute", "olap.generate",
-                         "xslt.transform"})
+#: Points whose ``raise`` mode fails a query execution: a cold query
+#: answers 500, a warm one a marked-stale 200.  Nothing else makes a
+#: query stale — an execution runs no XSLT (DESIGN.md §16.8).
+EXECUTION_POINTS = frozenset({"olap.execute", "olap.generate"})
+
+#: Per query format, the points whose ``raise`` mode may explain a 500.
+#: An XML query also renders the stored JSON through the XSLT engine,
+#: and a failed rendering is a 500 even on a warm entry.
+QUERY_POINTS = {
+    "json": EXECUTION_POINTS,
+    "xml": EXECUTION_POINTS | {"xslt.transform"},
+}
+
+#: The share of hammer and recovery-sweep queries that ask for XML.
+XML_QUERY_SHARE = 0.3
 
 #: Shrunken synthetic datasets so per-version oracle precomputation and
 #: under-fault regeneration stay cheap; the live server under test and
@@ -222,25 +236,37 @@ def _query_string(**params) -> str:
     return urlencode(pairs)
 
 
-def _expected_queries(xml_bytes: bytes,
-                      queries: tuple[dict, ...]) -> dict[str, bytes]:
+def _format_params(params: dict, fmt: str) -> dict:
+    """*params* asking for *fmt*: JSON is the default and sends none."""
+    return params if fmt == "json" else {**params, "format": fmt}
+
+
+def _pick_format(rng: random.Random) -> str:
+    return "xml" if rng.random() < XML_QUERY_SHARE else "json"
+
+
+def _expected_queries(xml_bytes: bytes, queries: tuple[dict, ...]
+                      ) -> dict[str, dict[str, bytes]]:
     """Execute the tracker's OLAP queries offline: the oracle bytes.
 
     Query results are deterministic per (model content hash, data seed,
     query), so an offline app with the same :data:`CHAOS_DATASET` yields
     exactly the bytes the live server may serve.  The record name does
-    not matter: the rendering embeds the model's *XML* name.
+    not matter: the rendering embeds the model's *XML* name.  Returns
+    format → {urlencoded query string as sent → body}.
     """
     assert not FAULTS.enabled, "oracle execution must be fault-free"
     app = ModelRepositoryApp(olap=OlapService(dataset=CHAOS_DATASET))
     response = app.handle("PUT", "/models/m", {}, xml_bytes)
     assert response.status == 201, response.status
-    bodies: dict[str, bytes] = {}
-    for params in queries:
-        encoded = _query_string(**params)
-        result = app.handle("GET", f"/olap/m/query?{encoded}")
-        assert result.status == 200, (result.status, result.body)
-        bodies[encoded] = result.body
+    bodies: dict[str, dict[str, bytes]] = {}
+    for fmt in RESULT_FORMATS:
+        bodies[fmt] = {}
+        for params in queries:
+            encoded = _query_string(**_format_params(params, fmt))
+            result = app.handle("GET", f"/olap/m/query?{encoded}")
+            assert result.status == 200, (result.status, result.body)
+            bodies[fmt][encoded] = result.body
     return bodies
 
 
@@ -258,17 +284,25 @@ class ModelTracker:
         self.current_pages: dict[str, bytes] = {}
         #: OLAP query parameter dicts the hammer fires via
         #: :meth:`RepositoryClient.query_cube`; oracle bodies are keyed
-        #: by their urlencoded form (see :func:`_query_string`).
+        #: by format, then by their urlencoded form as sent (see
+        #: :func:`_query_string` and :func:`_format_params`).
         self.queries = queries
-        self.current_queries: dict[str, bytes] = {}
+        self.current_queries: dict[str, dict[str, bytes]] = {}
         #: Every XML body ever current (raw-model responses must match).
         self.xml_history: set[bytes] = {base_xml}
         #: SHA-256 of every expected page rendering, all versions.
         self.page_shas: set[str] = set()
-        #: SHA-256 of every expected query rendering, all versions.
-        self.query_shas: set[str] = set()
+        #: Per format, SHA-256 of every expected query rendering, all
+        #: versions: a JSON request answered with XML bytes is torn.
+        self.query_shas: dict[str, set[str]] = {
+            fmt: set() for fmt in RESULT_FORMATS}
         self._pending: tuple[int, bytes, dict[str, bytes],
-                             dict[str, bytes]] | None = None
+                             dict[str, dict[str, bytes]]] | None = None
+
+    def _record_queries(self, queries: dict[str, dict[str, bytes]]
+                        ) -> None:
+        for fmt, bodies in queries.items():
+            self.query_shas[fmt].update(_sha(b) for b in bodies.values())
 
     def bootstrap(self, store) -> None:
         """Install version 0 in the server and record its oracle."""
@@ -276,8 +310,7 @@ class ModelTracker:
         self.page_shas.update(_sha(b) for b in self.current_pages.values())
         self.current_queries = _expected_queries(self.base_xml,
                                                  self.queries)
-        self.query_shas.update(
-            _sha(b) for b in self.current_queries.values())
+        self._record_queries(self.current_queries)
         store.put(self.name, self.base_xml)
 
     def _xml_for(self, version: int) -> bytes:
@@ -300,7 +333,7 @@ class ModelTracker:
         queries = _expected_queries(xml, self.queries)
         self.xml_history.add(xml)
         self.page_shas.update(_sha(b) for b in pages.values())
-        self.query_shas.update(_sha(b) for b in queries.values())
+        self._record_queries(queries)
         self._pending = (version, xml, pages, queries)
 
     def flip(self, store) -> None:
@@ -401,8 +434,10 @@ def _coalescing_burst(app: ModelRepositoryApp, tracker: ModelTracker,
 
 
 def _check_response(kind: str, path: str, response,
-                    tracker: ModelTracker, plan: FaultPlan) -> dict | None:
-    """Apply the hammer-phase invariants to one completed exchange."""
+                    tracker: ModelTracker, plan: FaultPlan,
+                    fmt: str) -> dict | None:
+    """Apply the hammer-phase invariants to one completed exchange
+    (*fmt* is the format a query asked for)."""
     raise_points = {point for point, spec in plan.specs.items()
                     if spec.mode == "raise"}
     if kind == "health":
@@ -414,8 +449,10 @@ def _check_response(kind: str, path: str, response,
         return None  # overload shed: legal whenever a plan is active
     if response.status == 500:
         # A 500 is explained only by faults on the path that served it:
-        # build faults never leak into query responses and vice versa.
-        explaining = OLAP_POINTS if kind == "query" else BUILD_POINTS
+        # build faults never leak into query responses and vice versa,
+        # and only an XML query runs the XSLT engine.
+        explaining = QUERY_POINTS[fmt] if kind == "query" \
+            else BUILD_POINTS
         if raise_points & explaining:
             return None
         return {"check": "unexplained-5xx", "path": path,
@@ -430,10 +467,15 @@ def _check_response(kind: str, path: str, response,
         return None
     digest = _sha(response.body)
     if kind == "query":
-        if digest not in tracker.query_shas:
+        stale = response.header("X-Goldcase-Stale")
+        if digest not in tracker.query_shas[fmt]:
             return {"check": "torn-query-bytes", "path": path,
-                    "stale": response.header("X-Goldcase-Stale"),
+                    "stale": stale,
                     "detail": f"unexpected sha {digest[:12]}"}
+        if stale == "true" and not raise_points & EXECUTION_POINTS:
+            return {"check": "unexplained-stale", "path": path,
+                    "detail": f"stale query with plan "
+                              f"{sorted(plan.specs)}"}
         return None
     if digest not in tracker.page_shas:
         return {"check": "torn-page-bytes", "path": path,
@@ -461,6 +503,7 @@ def _hammer(server: ModelServer, trackers: list[ModelTracker],
                 tracker = rng.choice(trackers)
                 kind = rng.choice(
                     ["model", "index", "page", "query", "health"])
+                fmt = "json"
                 if kind == "model":
                     path = f"/models/{tracker.name}"
                 elif kind == "health":
@@ -468,7 +511,9 @@ def _hammer(server: ModelServer, trackers: list[ModelTracker],
                 elif kind == "index":
                     path = f"/site/{tracker.name}/index.html"
                 elif kind == "query":
-                    params = rng.choice(tracker.queries)
+                    fmt = _pick_format(rng)
+                    params = _format_params(rng.choice(tracker.queries),
+                                            fmt)
                     path = (f"/olap/{tracker.name}/query?"
                             f"{_query_string(**params)}")
                 else:
@@ -494,7 +539,7 @@ def _hammer(server: ModelServer, trackers: list[ModelTracker],
                                   "path": path, "detail": str(exc)}
                 else:
                     record = _check_response(
-                        kind, path, response, tracker, plan)
+                        kind, path, response, tracker, plan, fmt)
                 if record is not None and response is not None:
                     # Join key into the server's access log.
                     record["request_id"] = response.request_id
@@ -530,9 +575,12 @@ def _hammer(server: ModelServer, trackers: list[ModelTracker],
     return failures, counts
 
 
-def _recovery_sweep(server: ModelServer,
-                    trackers: list[ModelTracker]) -> list[dict]:
-    """Faults off: everything must be current, fresh, and healthy."""
+def _recovery_sweep(server: ModelServer, trackers: list[ModelTracker],
+                    rng: random.Random) -> list[dict]:
+    """Faults off: everything must be current, fresh, and healthy.
+
+    Each query is fetched once, in the format *rng* picks.
+    """
     failures: list[dict] = []
     connection = http.client.HTTPConnection(
         server.host, server.port, timeout=30)
@@ -564,8 +612,10 @@ def _recovery_sweep(server: ModelServer,
                         "detail": f"status {response.status} stale={stale} "
                                   f"sha {_sha(body)[:12]} "
                                   f"want {_sha(expected)[:12]}"})
-            for encoded, expected in sorted(
-                    tracker.current_queries.items()):
+            for params in tracker.queries:
+                fmt = _pick_format(rng)
+                encoded = _query_string(**_format_params(params, fmt))
+                expected = tracker.current_queries[fmt][encoded]
                 response, body = fetch(
                     f"/olap/{tracker.name}/query?{encoded}")
                 stale = response.getheader("X-Goldcase-Stale")
@@ -616,7 +666,7 @@ def run_round(server: ModelServer, trackers: list[ModelTracker],
         FAULTS.deactivate()
     counts["faults_fired"] = sum(fired.values())
 
-    failures.extend(_recovery_sweep(server, trackers))
+    failures.extend(_recovery_sweep(server, trackers, rng))
     # Faults are off: the scrape must succeed and stay monotonic
     # relative to the mid-storm scrape.
     failures.extend(_metrics_probe(

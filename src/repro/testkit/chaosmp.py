@@ -133,7 +133,7 @@ def _check_body(kind: str, path: str, status: int, body: bytes,
                     "detail": f"unexpected sha {_sha(body)[:12]}"}
         return None
     digest = _sha(body)
-    expected = tracker.query_shas if kind == "query" \
+    expected = tracker.query_shas["json"] if kind == "query" \
         else tracker.page_shas
     if digest not in expected:
         return {"check": f"torn-{kind}-bytes", "path": path,
@@ -281,7 +281,9 @@ def _recovery_sweep(server: MultiWorkerServer,
                                   f"sha {_sha(body)[:12]} "
                                   f"want {_sha(expected)[:12]}"})
             for encoded, expected in sorted(
-                    tracker.current_queries.items()):
+                    (encoded, body)
+                    for bodies in tracker.current_queries.values()
+                    for encoded, body in bodies.items()):
                 path = f"/olap/{tracker.name}/query?{encoded}"
                 status, body, headers = _request(server.port, "GET", path)
                 stale = headers.get("x-goldcase-stale")

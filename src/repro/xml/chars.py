@@ -34,6 +34,7 @@ __all__ = [
     "is_qname",
     "split_qname",
     "strip_xml_space",
+    "split_xml_space",
     "collapse_whitespace",
     "NAME_START_CLASS",
     "NAME_CHAR_CLASS",
@@ -188,6 +189,19 @@ def strip_xml_space(text: str) -> str:
     return text.strip(" \t\r\n")
 
 
+_NON_SPACE_RUN = re.compile("[^ \t\r\n]+")
+
+
+def split_xml_space(text: str) -> list[str]:
+    """Split *text* on runs of XML white space (the ``S`` characters
+    only), dropping empty tokens.
+
+    ``str.split()`` is not a substitute: it also splits on U+00A0,
+    U+0085, U+2028, U+3000 and other characters XML counts as content.
+    """
+    return _NON_SPACE_RUN.findall(text)
+
+
 def collapse_whitespace(text: str) -> str:
     """Apply the XSD ``collapse`` whiteSpace facet to *text*."""
-    return " ".join(text.split())
+    return " ".join(split_xml_space(text))

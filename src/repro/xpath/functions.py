@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+from ..xml.chars import collapse_whitespace, split_xml_space
 from ..xml.dom import Attribute, Element, NamespaceNode, Node
 from .datamodel import (
     document_order,
@@ -64,9 +65,9 @@ def fn_id(context: Context, args: Sequence[object]) -> object:
     if is_node_set(value):
         tokens: list[str] = []
         for node in value:  # type: ignore[union-attr]
-            tokens.extend(node.string_value().split())
+            tokens.extend(split_xml_space(node.string_value()))
     else:
-        tokens = to_string(value).split()
+        tokens = split_xml_space(to_string(value))
 
     root = context.node.root
     id_map: dict[str, Element] = {}
@@ -206,7 +207,7 @@ def fn_string_length(context: Context, args: Sequence[object]) -> object:
 
 def fn_normalize_space(context: Context, args: Sequence[object]) -> object:
     _arity("normalize-space", args, 0, 1)
-    return " ".join(_context_string(context, args).split())
+    return collapse_whitespace(_context_string(context, args))
 
 
 def fn_translate(context: Context, args: Sequence[object]) -> object:

@@ -15,7 +15,13 @@ from datetime import date, datetime, time
 from decimal import Decimal, InvalidOperation
 from typing import Callable
 
-from ..xml.chars import collapse_whitespace, is_name, is_ncname, is_qname
+from ..xml.chars import (
+    collapse_whitespace,
+    is_name,
+    is_ncname,
+    is_qname,
+    split_xml_space,
+)
 
 __all__ = ["Datatype", "BUILTIN_TYPES", "lookup_builtin"]
 
@@ -196,7 +202,7 @@ def _parse_nmtoken(text: str) -> str:
 def _list_parser(item: Callable[[str], object],
                  type_name: str) -> Callable[[str], list[object]]:
     def parse(text: str) -> list[object]:
-        tokens = text.split()
+        tokens = split_xml_space(text)
         if not tokens:
             raise ValueError(f"empty {type_name} list")
         return [item(token) for token in tokens]

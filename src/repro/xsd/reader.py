@@ -16,6 +16,7 @@ may be declared in any order — as in real schema documents.
 
 from __future__ import annotations
 
+from ..xml.chars import split_xml_space
 from ..xml.dom import Document, Element
 from ..xml.parser import parse as parse_xml
 from .components import (
@@ -371,8 +372,8 @@ class _Reader:
                 item = self._read_simple_type(inline)
             return ListType(item_type=item, name=name)
         if union_node is not None:
-            member_refs = (union_node.get_attribute("memberTypes") or
-                           "").split()
+            member_refs = split_xml_space(
+                union_node.get_attribute("memberTypes") or "")
             members = [self._lookup_type_ref(ref) for ref in member_refs]
             members.extend(
                 self._read_simple_type(inline)

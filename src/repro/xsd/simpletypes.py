@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from ..xml.chars import collapse_whitespace, split_xml_space
 from .datatypes import Datatype, lookup_builtin
 from .facets import Facet
 
@@ -90,11 +91,11 @@ class ListType:
     id_kind = None
 
     def normalize(self, text: str) -> str:
-        return " ".join(text.split())
+        return collapse_whitespace(text)
 
     def validate(self, text: str) -> object:
         lexical = self.normalize(text)
-        items = lexical.split()
+        items = split_xml_space(lexical)
         values = [
             self.item_type.validate(item)  # type: ignore[union-attr]
             for item in items

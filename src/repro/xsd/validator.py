@@ -19,6 +19,7 @@ from __future__ import annotations
 from ..faults import FAULTS as _FAULTS
 from ..faults import fault_point as _fault_point
 from ..obs.recorder import RECORDER as _REC
+from ..xml.chars import split_xml_space
 from ..xml.dom import Attribute, Document, Element, Node
 from ..xpath import Context, XPathEvaluator
 from ..xpath.parser import parse_xpath
@@ -275,7 +276,7 @@ class SchemaValidator:
         elif id_kind == "IDREF":
             idrefs.append((stype.normalize(text), path, line))
         elif id_kind == "IDREFS":
-            for token in stype.normalize(text).split():
+            for token in split_xml_space(stype.normalize(text)):
                 idrefs.append((token, path, line))
 
     # -- identity constraints ------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+from ..xml.chars import split_xml_space
 from ..xml.dom import Document, Element
 from ..xml.parser import parse as parse_xml
 from ..xpath.ast import Expr
@@ -172,10 +173,10 @@ def _compile_into(document: Document, stylesheet: Stylesheet,
             _compile_into(included_doc, stylesheet, resolver, tier)
         elif kind == "strip-space":
             stylesheet.strip_space.update(
-                _required(child, "elements").split())
+                split_xml_space(_required(child, "elements")))
         elif kind == "preserve-space":
             stylesheet.preserve_space.update(
-                _required(child, "elements").split())
+                split_xml_space(_required(child, "elements")))
         elif kind in ("namespace-alias", "decimal-format",
                       "attribute-set", "script"):
             # Accepted but inert in this subset; the goldmodel stylesheets

@@ -96,6 +96,15 @@ class TestAttributes:
             '<m name="n"><d id="a"/><u ref="a" refs="a zz"/></m>')
         assert any("'zz'" in e.message for e in report.errors)
 
+    def test_idrefs_split_only_on_xml_white_space(self):
+        ok = check('<m name="n"><d id="a"/><d id="b"/>'
+                   '<u ref="a" refs="a\t b"/></m>')
+        assert ok.valid, [e.message for e in ok.errors]
+        # U+00A0 is not white space: "a\xa0b" is one dangling IDREF.
+        report = check('<m name="n"><d id="a"/><d id="b"/>'
+                       '<u ref="a" refs="a\xa0b"/></m>')
+        assert any(repr("a\xa0b") in e.message for e in report.errors)
+
     def test_id_flag_set(self):
         document = parse('<m name="n"><d id="a"/></m>')
         validate_dtd(document, DTD)

@@ -1,13 +1,17 @@
 """Byte-identical regression check for OLAP query answers.
 
 ``golden_olap_answers.json`` pins the SHA-256 of :func:`render_json`
-for a fixed set of canonical queries over the sales model's synthetic
-dataset (one fixed :class:`DatasetConfig`, dataset seeds 0 and 1).  The
-queries cover one to three dice axes, the base grain (including the
+(``sha256``) and of :func:`render_xml` (``xml_sha256``) for a fixed set
+of canonical queries over the sales model's synthetic dataset (one
+fixed :class:`DatasetConfig`, dataset seeds 0 and 1).  The queries
+cover one to three dice axes, the base grain (including the
 many-to-many Product dimension), every level, fact, dimension and level
-slices, and all five aggregation functions.  The digests were captured
-from the row-at-a-time engine; any change to the groups, their order,
-``sliced_out`` or a single float bit changes a digest.
+slices, and all five aggregation functions.  The JSON digests were
+captured from the row-at-a-time engine, the XML digests from
+``render_xml`` of the payload dict, before the service rendered XML
+from the stored JSON; any change to the groups, their order, ``sliced_out``, a single float
+bit or a byte of either rendering changes a digest.  The app leg
+checks both digests against the bodies ``/olap/<model>/query`` serves.
 
 Regenerate (only after an *intentional* answer change) with::
 
@@ -28,11 +32,18 @@ from repro.mdm import sales_model
 from repro.olap import CubeEngine
 from repro.olap.service import (
     DatasetConfig,
+    OlapService,
     parse_query,
     resolve_query,
     synthesize_star,
 )
-from repro.olap.service.render import render_json, result_payload
+from repro.olap.service.render import (
+    render_json,
+    render_xml,
+    result_payload,
+)
+from repro.server import ModelRepositoryApp
+from repro.server.store import ModelRecord
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__),
                            "golden_olap_answers.json")
@@ -116,14 +127,23 @@ def dataset(seed: int):
     return synthesize_star(MODEL, CONTENT_HASH, seed, CONFIG)
 
 
-def answer_digest(query: dict) -> str:
-    """SHA-256 of the JSON answer to canonical *query*."""
+def answer_payload(query: dict) -> dict:
+    """The result payload of canonical *query*, executed offline."""
     spec = resolve_query(parse_query(query), MODEL)
     star = dataset(spec.seed)
     result = CubeEngine(star).execute(spec.to_cube(MODEL))
-    payload = result_payload(MODEL, CONTENT_HASH, spec, result,
-                             dataset=star.summary())
-    return hashlib.sha256(render_json(payload)).hexdigest()
+    return result_payload(MODEL, CONTENT_HASH, spec, result,
+                          dataset=star.summary())
+
+
+def answer_digest(query: dict) -> str:
+    """SHA-256 of the JSON answer to canonical *query*."""
+    return hashlib.sha256(render_json(answer_payload(query))).hexdigest()
+
+
+def xml_answer_digest(query: dict) -> str:
+    """SHA-256 of the XML answer to canonical *query*."""
+    return hashlib.sha256(render_xml(answer_payload(query))).hexdigest()
 
 
 def _golden() -> list[dict]:
@@ -139,6 +159,38 @@ def test_answer_is_byte_identical(index):
     entry = GOLDEN[index]
     assert answer_digest(entry["query"]) == entry["sha256"], (
         f"answer changed for {json.dumps(entry['query'], sort_keys=True)}")
+
+
+class _GoldenStore:
+    """Serves the sales model under the golden content hash, so the
+    app's answers are the offline ones byte for byte."""
+
+    RECORD = ModelRecord(name="sales", xml_bytes=b"",
+                         content_hash=CONTENT_HASH, model=MODEL)
+
+    def get(self, name: str):
+        return self.RECORD if name == "sales" else None
+
+
+@pytest.fixture(scope="module")
+def golden_app():
+    return ModelRepositoryApp(store=_GoldenStore(),
+                              olap=OlapService(dataset=CONFIG))
+
+
+@pytest.mark.parametrize("index", range(len(GOLDEN)))
+def test_served_answers_match_the_pinned_digests(golden_app, index):
+    """Both formats the app serves hash to the pinned digests; the XML
+    is derived from the stored JSON on the first XML request."""
+    entry = GOLDEN[index]
+    body = json.dumps(entry["query"]).encode("utf-8")
+    for fmt, key in (("xml", "xml_sha256"), ("json", "sha256")):
+        response = golden_app.handle(
+            "POST", f"/olap/sales/query?format={fmt}", {}, body)
+        assert response.status == 200, response.body
+        assert hashlib.sha256(response.body).hexdigest() == entry[key], (
+            f"served {fmt} changed for "
+            f"{json.dumps(entry['query'], sort_keys=True)}")
 
 
 def test_golden_queries_cover_the_engine():
@@ -173,7 +225,8 @@ if __name__ == "__main__":
                         help="rewrite golden_olap_answers.json from the "
                              "current engine")
     if parser.parse_args().regenerate:
-        golden = [{"query": query, "sha256": answer_digest(query)}
+        golden = [{"query": query, "sha256": answer_digest(query),
+                   "xml_sha256": xml_answer_digest(query)}
                   for query in generate_queries()]
         with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
             json.dump(golden, handle, indent=1, sort_keys=True)

@@ -7,13 +7,20 @@ Covers the three pillars of the service subsystem:
   store's issue shape;
 * deterministic synthetic datasets per (content hash, seed, config);
 * the materialized-aggregate cache — differential against a direct
-  engine execution, coalescing bursts, failure degradation, sheds.
+  engine execution, coalescing bursts, failure degradation, sheds;
+* the XML view of a stored result — rendered from the JSON on the
+  first XML request, once per entry, and never by an execution.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
+import sys
+import tempfile
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,10 +35,18 @@ from repro.olap.service import (
     QueryError,
     QueryExecutionError,
     QueryOverloadError,
+    QueryRenderError,
     parse_query,
     resolve_query,
     synthesize_star,
 )
+from repro.olap.service.render import (
+    render_json,
+    render_xml,
+    result_etag,
+    result_payload,
+)
+from repro.server.buildstore import ARTIFACT_VERSION, BuildStore
 
 MODEL = sales_model()
 SMALL = DatasetConfig(members_per_level=3, rows_per_fact=60)
@@ -220,6 +235,15 @@ QUERY = {"fact": "Sales", "measure": "qty:SUM,total:AVG",
          "slice": ['Product.product_name NOTEQ "unknown"'], "seed": "1"}
 
 
+#: One query per dice of the sales model's levels (48 distinct keys).
+DICE_QUERIES = [
+    {"fact": "Sales", "measure": "qty:SUM", "seed": "1",
+     **({"dice": ",".join(dice)} if dice else {})}
+    for dice in (
+        [f"{dim}@{level}" for dim, level in zip(DICES, levels) if level]
+        for levels in itertools.product(*DICES.values()))]
+
+
 class TestDifferential:
     def test_cached_result_matches_direct_engine_execution(self):
         """The tentpole's correctness bar: caching never changes values."""
@@ -300,6 +324,72 @@ class TestAggregateCacheConcurrency:
             "m", "h2", 1, "k", lambda: stub_entry("h2", "new"))
         assert (entry.tag, outcome) == ("new", "executed")
 
+    @staticmethod
+    def _older_request_behind(cache: AggregateCache, newer_execute):
+        """Run a request for hash h1 (it read the record before a
+        re-upload) that takes its token snapshot while a request for h2
+        is executing, and blocks on the key lock until that finishes.
+
+        Returns the h2 request's result (or exception) and the h1
+        request's.  Deterministic: the h2 execution returns only once
+        the h1 request has asked for the key lock.
+        """
+        key_lock = cache._key_lock
+        waiting = threading.Event()
+        results: list = []
+
+        def tracking_key_lock(key):
+            if threading.current_thread() is older:
+                waiting.set()
+            return key_lock(key)
+
+        def older_request():
+            try:
+                results.append(cache.entry(
+                    "m", "h1", 1, "k", lambda: stub_entry("h1", "old")))
+            except QueryExecutionError as exc:
+                results.append(exc)
+
+        def newer():
+            older.start()
+            assert waiting.wait(timeout=10)
+            return newer_execute()
+
+        cache._key_lock = tracking_key_lock
+        older = threading.Thread(target=older_request)
+        try:
+            newer_result = cache.entry("m", "h2", 1, "k", newer)
+        except QueryExecutionError as exc:
+            newer_result = exc
+        older.join(timeout=10)
+        assert not older.is_alive()
+        [older_result] = results
+        return newer_result, older_result
+
+    def test_waiter_behind_a_newer_success_runs_its_own_query(self):
+        """That success is no failure: the waiter executes its own
+        hash instead of answering "stale" with the newer entry."""
+        cache = AggregateCache()
+        newer, older = self._older_request_behind(
+            cache, lambda: stub_entry("h2", "new"))
+        assert (newer[0].tag, newer[1]) == ("new", "executed")
+        assert (older[0].tag, older[1]) == ("old", "executed")
+        stats = cache.stats()
+        assert (stats["executions"], stats["stale_served"]) == (2, 0)
+
+    def test_waiter_behind_a_failure_shares_it(self):
+        cache = AggregateCache()
+
+        def boom():
+            raise RuntimeError("engine exploded")
+
+        newer, older = self._older_request_behind(cache, boom)
+        assert isinstance(newer, QueryExecutionError)
+        assert isinstance(older, QueryExecutionError)
+        assert "engine exploded" in str(older)
+        stats = cache.stats()
+        assert (stats["executions"], stats["failures"]) == (1, 1)
+
     def test_failure_with_no_prior_entry_raises(self):
         cache = AggregateCache()
 
@@ -334,6 +424,23 @@ class TestAggregateCacheConcurrency:
             release.set()
             holder.join(timeout=10)
 
+    def test_stats_tolerates_a_view_added_while_it_sums(self):
+        """A first XML request may add to an entry's renderings while
+        stats() sums their sizes; here it does so the moment stats()
+        takes the JSON's length."""
+        cache = AggregateCache()
+        entry, _ = cache.entry("m", "h1", 1, "k",
+                               lambda: stub_entry("h1", "x"))
+
+        class AddsTheView(bytes):
+            def __len__(self) -> int:
+                entry.renderings.setdefault("xml", b"<x/>")
+                return bytes.__len__(self)
+
+        entry.renderings["json"] = AddsTheView(b"{}")
+        assert cache.stats()["resident_bytes"] == 2
+        assert cache.stats()["resident_bytes"] == 6
+
     def test_invalidate_drops_only_that_model(self):
         cache = AggregateCache()
         cache.entry("a", "h1", 1, "k", lambda: stub_entry("h1", "x"))
@@ -363,3 +470,192 @@ class TestFaultPoints:
         entry, outcome = service.execute("m", "h1", MODEL, spec)
         assert outcome == "executed"
         assert entry.row_count >= 0
+
+
+# ---------------------------------------------------------------------------
+# The XML view: derived from the stored JSON on the first XML request
+
+
+def offline_payload(content_hash: str, spec) -> dict:
+    """The result payload of *spec*, executed without the service."""
+    star = synthesize_star(MODEL, content_hash, spec.seed, SMALL)
+    result = CubeEngine(star).execute(spec.to_cube(MODEL))
+    return result_payload(MODEL, content_hash, spec, result,
+                          dataset=star.summary())
+
+
+class TestXmlView:
+    def test_execution_stores_only_the_json(self, xml_renders):
+        service = OlapService(dataset=SMALL)
+        spec = resolve(QUERY)
+        entry, outcome = service.execute("m", "h1", MODEL, spec)
+        assert outcome == "executed"
+        assert set(entry.renderings) == set(entry.etags) == {"json"}
+        assert xml_renders == []
+        payload = offline_payload("h1", spec)
+        assert service.rendering(entry, "json") == (
+            render_json(payload), result_etag(render_json(payload)))
+        assert xml_renders == []
+
+    def test_xml_renders_from_the_json_once_and_is_kept(self, xml_renders):
+        service = OlapService(dataset=SMALL)
+        spec = resolve(QUERY)
+        entry, _ = service.execute("m", "h1", MODEL, spec)
+        expected = render_xml(offline_payload("h1", spec))
+        assert service.rendering(entry, "xml") == (
+            expected, result_etag(expected))
+        again, outcome = service.execute("m", "h1", MODEL, spec)
+        assert outcome == "hit" and again is entry
+        assert service.rendering(again, "xml")[0] == expected
+        assert len(xml_renders) == 1
+        assert entry.renderings["xml"] == expected
+
+    def test_sixteen_concurrent_cold_xml_requests_render_once(
+            self, xml_renders):
+        service = OlapService(dataset=SMALL)
+        spec = resolve(QUERY)
+        barrier = threading.Barrier(16)
+        results: list = [None] * 16
+
+        def ask(slot: int) -> None:
+            barrier.wait()
+            entry, _ = service.execute("m", "h1", MODEL, spec)
+            results[slot] = service.rendering(entry, "xml")
+
+        threads = [threading.Thread(target=ask, args=(slot,))
+                   for slot in range(16)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert service.cache.stats()["executions"] == 1
+        assert len(xml_renders) == 1
+        assert None not in results and len(set(results)) == 1
+        data, etag = results[0]
+        assert data == render_xml(offline_payload("h1", spec))
+        assert etag == result_etag(data)
+
+    @pytest.mark.parametrize("seed", ["1", "2", "3"])
+    def test_stats_while_sixteen_threads_render_xml(self, seed):
+        """The resident-byte count reads every entry's renderings while
+        first XML requests add to them, and never trips over one.
+        Three seeds, because the race shows only in some runs;
+        ``test_stats_tolerates_a_view_added_while_it_sums`` forces it."""
+        service = OlapService(dataset=SMALL)
+        entries = [service.execute("m", "h1", MODEL,
+                                   resolve({**params, "seed": seed}))[0]
+                   for params in DICE_QUERIES]
+        errors: list = []
+
+        def render(mine) -> None:
+            try:
+                for entry in mine:
+                    service.rendering(entry, "xml")
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=render,
+                                    args=(entries[slot::16],))
+                   for slot in range(16)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 30
+            while any(thread.is_alive() for thread in threads) and \
+                    time.monotonic() < deadline:
+                service.cache.stats()
+        finally:
+            sys.setswitchinterval(interval)
+            for thread in threads:
+                thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert service.cache.stats()["resident_bytes"] == sum(
+            len(entry.renderings["json"]) + len(entry.renderings["xml"])
+            for entry in entries)
+
+    def test_failed_rendering_stores_nothing_and_the_next_retries(
+            self, xml_renders):
+        service = OlapService(dataset=SMALL)
+        spec = resolve(QUERY)
+        entry, _ = service.execute("m", "h1", MODEL, spec)
+        json_bytes = entry.renderings["json"]
+        before = service.cache.stats()
+        with injected_faults(FaultPlan().add("xslt.transform")):
+            with pytest.raises(QueryRenderError) as excinfo:
+                service.rendering(entry, "xml")
+            # A JSON request runs no XSLT: the fault cannot touch it.
+            assert service.rendering(entry, "json")[0] == json_bytes
+        assert "XML rendering failed" in str(excinfo.value)
+        assert set(entry.renderings) == set(entry.etags) == {"json"}
+        assert entry.renderings["json"] == json_bytes
+        assert service.cache.stats() == before
+        data, _ = service.rendering(entry, "xml")
+        assert data == render_xml(offline_payload("h1", spec))
+        assert len(xml_renders) == 2
+
+    def test_stale_entry_serves_the_xml_of_its_own_json(self):
+        service = OlapService(dataset=SMALL)
+        spec = resolve({"fact": "Sales", "measure": "qty:SUM", "seed": "1"})
+        service.execute("m", "h1", MODEL, spec)
+        with injected_faults(FaultPlan().add("olap.execute")):
+            entry, outcome = service.execute("m", "h2", MODEL, spec)
+            assert outcome == "stale"
+            data, _ = service.rendering(entry, "xml")
+        assert data == render_xml(offline_payload("h1", spec))
+
+    def test_entry_loaded_from_the_build_store_serves_identical_xml(
+            self, xml_renders):
+        spec = resolve(QUERY)
+        with tempfile.TemporaryDirectory() as root:
+            writer = OlapService(dataset=SMALL, buildstore=BuildStore(root))
+            fresh, outcome = writer.execute("m", "h1", MODEL, spec)
+            assert outcome == "executed"
+            reader = OlapService(dataset=SMALL, buildstore=BuildStore(root))
+            loaded, outcome = reader.execute("other", "h1", MODEL, spec)
+            assert outcome == "hit"
+            assert reader.cache.stats()["disk_hits"] == 1
+            assert set(loaded.renderings) == {"json"}
+            assert reader.rendering(loaded, "xml") == \
+                writer.rendering(fresh, "xml")
+        assert len(xml_renders) == 2
+
+    def test_artifact_holding_both_formats_still_loads(self):
+        """An artifact written when every execution rendered both
+        formats loads as its JSON; the XML is derived as usual."""
+        spec = resolve(QUERY)
+        payload = offline_payload("h1", spec)
+        json_bytes, xml_bytes = render_json(payload), render_xml(payload)
+        with tempfile.TemporaryDirectory() as root:
+            store = BuildStore(root)
+            artifact = {
+                "version": ARTIFACT_VERSION, "kind": "aggregate",
+                "content_hash": "h1", "seed": spec.seed,
+                "query_key": spec.query_key(),
+                "renderings": {"json": json_bytes.decode("utf-8"),
+                               "xml": xml_bytes.decode("utf-8")},
+                "etags": {"json": result_etag(json_bytes),
+                          "xml": result_etag(xml_bytes)},
+                "row_count": payload["row_count"],
+                "sliced_out": payload["sliced_out"],
+            }
+            path = store._agg_path("h1", spec.seed, spec.query_key())
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(artifact, handle)
+            service = OlapService(dataset=SMALL, buildstore=store)
+            entry, outcome = service.execute("m", "h1", MODEL, spec)
+        assert outcome == "hit"
+        assert service.cache.stats()["executions"] == 0
+        assert service.rendering(entry, "json") == (
+            json_bytes, result_etag(json_bytes))
+        assert service.rendering(entry, "xml") == (
+            xml_bytes, result_etag(xml_bytes))

@@ -1,19 +1,29 @@
 """OLAP endpoints: /olap/<model>/{query,schema,stats} plus the client.
 
 App-level coverage of the query routes (outcomes, conditional GETs,
-content negotiation, diagnostics, invalidation, telemetry) and a live
-socket leg exercising :meth:`RepositoryClient.query_cube` /
-:meth:`RepositoryClient.olap_stats`.
+content negotiation, diagnostics, invalidation, telemetry, the XML
+view's fault contract) and a live socket leg exercising
+:meth:`RepositoryClient.query_cube` / :meth:`RepositoryClient.olap_stats`.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
+from repro.faults import FaultPlan, injected_faults
 from repro.mdm import model_to_xml, sales_model
-from repro.olap.service import DatasetConfig, OlapService
+from repro.olap import CubeEngine
+from repro.olap.service import (
+    DatasetConfig,
+    OlapService,
+    parse_query,
+    resolve_query,
+    synthesize_star,
+)
+from repro.olap.service.render import render_json, render_xml, result_payload
 from repro.server import ModelRepositoryApp, ModelServer
 from repro.web import RepositoryClient
 
@@ -130,6 +140,96 @@ class TestQueryEndpoint:
         assert app.handle("DELETE", "/models/sales").status == 200
         assert app.handle("GET", QUERY).status == 404
         assert app.olap.cache.stats()["entries"] == 0
+
+
+def oracle(app, fmt: str) -> bytes:
+    """:data:`QUERY`'s answer in *fmt*, executed and rendered offline."""
+    record = app.store.get("sales")
+    params = {"fact": "Sales", "measure": "qty:SUM", "dice": "Time@Month",
+              "seed": "1"}
+    spec = resolve_query(parse_query(params), record.model)
+    star = synthesize_star(record.model, record.content_hash, spec.seed,
+                           SMALL)
+    result = CubeEngine(star).execute(spec.to_cube(record.model))
+    payload = result_payload(record.model, record.content_hash, spec,
+                             result, dataset=star.summary())
+    return render_json(payload) if fmt == "json" else render_xml(payload)
+
+
+def _counters(app) -> dict:
+    stats = app.olap.cache.stats()
+    return {key: stats[key]
+            for key in ("executions", "failures", "stale_served")}
+
+
+class TestXmlView:
+    """The XML is rendered from the stored JSON on the first XML
+    request (DESIGN.md §16.8)."""
+
+    def test_sixteen_concurrent_cold_xml_requests(self, app, xml_renders):
+        barrier = threading.Barrier(16)
+        responses: list = [None] * 16
+
+        def ask(slot: int) -> None:
+            barrier.wait()
+            responses[slot] = app.handle("GET", QUERY + "&format=xml")
+
+        threads = [threading.Thread(target=ask, args=(slot,))
+                   for slot in range(16)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert app.olap.cache.stats()["executions"] == 1
+        assert len(xml_renders) == 1
+        assert {r.status for r in responses} == {200}
+        assert {r.body for r in responses} == {oracle(app, "xml")}
+        assert len({r.header("ETag") for r in responses}) == 1
+
+    def test_transform_fault_fails_only_the_xml_request(self, app):
+        assert app.handle("GET", QUERY).status == 200
+        before = _counters(app)
+        with injected_faults(FaultPlan().add("xslt.transform")):
+            failed = app.handle("GET", QUERY + "&format=xml")
+            served = app.handle("GET", QUERY)
+        assert failed.status == 500
+        assert failed.json["kind"] == "olap"
+        assert "XML rendering failed" in failed.json["error"]
+        assert served.status == 200
+        assert served.header("X-Goldcase-Olap") == "hit"
+        assert served.body == oracle(app, "json")
+        assert _counters(app) == before
+        # Nothing was stored: the next XML request renders it.
+        retried = app.handle("GET", QUERY + "&format=xml")
+        assert retried.status == 200
+        assert retried.body == oracle(app, "xml")
+        assert _counters(app) == before
+
+    def test_cold_xml_request_under_transform_fault_stores_the_json(
+            self, app):
+        with injected_faults(FaultPlan().add("xslt.transform")):
+            assert app.handle("GET", QUERY + "&format=xml").status == 500
+        assert _counters(app) == {"executions": 1, "failures": 0,
+                                  "stale_served": 0}
+        served = app.handle("GET", QUERY)
+        assert served.header("X-Goldcase-Olap") == "hit"
+        assert served.body == oracle(app, "json")
+
+    def test_conditional_xml_get_304(self, app, xml_renders):
+        etag = app.handle("GET", QUERY + "&format=xml").header("ETag")
+        again = app.handle("GET", QUERY + "&format=xml",
+                           {"If-None-Match": etag})
+        assert again.status == 304
+        assert again.header("ETag") == etag
+        assert len(xml_renders) == 1
+        # A process that has not rendered the XML yet (another worker,
+        # a restart) derives it to answer the conditional request.
+        other = ModelRepositoryApp(olap=OlapService(dataset=SMALL))
+        other.handle("PUT", "/models/sales", {}, SALES_XML)
+        assert other.handle("GET", QUERY + "&format=xml",
+                            {"If-None-Match": etag}).status == 304
+        assert len(xml_renders) == 2
 
 
 class TestSchemaAndStats:

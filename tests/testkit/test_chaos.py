@@ -66,7 +66,7 @@ def test_chaos_writes_reproducers_on_violation(tmp_path, monkeypatch):
     """Force a violation and check the red path: exit 1 plus a replayable
     JSON reproducer naming the round and the active plan."""
 
-    def broken_sweep(server, trackers):
+    def broken_sweep(server, trackers, rng):
         return [{"check": "forced", "detail": "injected by test"}]
 
     monkeypatch.setattr(chaos, "_recovery_sweep", broken_sweep)

@@ -3,6 +3,7 @@
 import re
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.xml import chars
 from repro.xml.chars import (
@@ -15,6 +16,7 @@ from repro.xml.chars import (
     is_space,
     is_xml_char,
     split_qname,
+    split_xml_space,
     strip_xml_space,
 )
 
@@ -109,6 +111,24 @@ class TestWhitespaceHelpers:
     def test_collapse(self):
         assert collapse_whitespace("  a \t b\n\nc ") == "a b c"
         assert collapse_whitespace("") == ""
+
+    @given(st.text(alphabet=st.sampled_from(
+        "ab~ \t\n\r\x0b\x0c\x1c\x1f\x85\xa0\u2028\u3000\u00e9")))
+    def test_split_matches_a_character_loop(self, text):
+        """split_xml_space splits where the S production says, and
+        nowhere else."""
+        tokens, current = [], ""
+        for ch in text:
+            if is_space(ch):
+                if current:
+                    tokens.append(current)
+                current = ""
+            else:
+                current += ch
+        if current:
+            tokens.append(current)
+        assert split_xml_space(text) == tokens
+        assert collapse_whitespace(text) == " ".join(tokens)
 
 
 class TestRegexClasses:

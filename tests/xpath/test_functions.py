@@ -44,6 +44,10 @@ class TestNodeSetFunctions:
     def test_id_missing(self):
         assert ev("id('nope')") == []
 
+    def test_id_splits_only_on_xml_white_space(self):
+        assert len(ev("id('i1\t\ni2')")) == 2
+        assert ev("id('i1\xa0i2')") == []  # one token, no such ID
+
     def test_name_functions(self):
         assert ev("name(/m)") == "m"
         assert ev("local-name(/m)") == "m"
@@ -101,6 +105,12 @@ class TestStringFunctions:
 
     def test_normalize_space(self):
         assert ev("normalize-space('  a  b ')") == "a b"
+
+    def test_normalize_space_keeps_non_xml_white_space(self):
+        """XPath 1.0 §4.2 strips and collapses the S characters only."""
+        assert ev("normalize-space('t\xa0u  v')") == "t\xa0u v"
+        assert ev("normalize-space(' \u3000x\u2028\t\r\n')") == \
+            "\u3000x\u2028"
 
     def test_translate(self):
         assert ev("translate('bar', 'abc', 'ABC')") == "BAr"

@@ -34,6 +34,17 @@ class TestStringFamily:
     def test_token_collapses(self):
         assert validate("token", "  a   b  ") == "a b"
 
+    def test_only_the_four_s_characters_are_white_space(self):
+        """XSD whiteSpace counts #x20, #x9, #xD and #xA only; U+00A0,
+        U+0085, U+2028 and U+3000 are content."""
+        assert validate("token", "x\xa0y") == "x\xa0y"
+        assert validate("token", " a\u3000b\u2028 \t c\x85 ") == \
+            "a\u3000b\u2028 c\x85"
+        # One item, and not an NMTOKEN: U+00A0 separates nothing.
+        with pytest.raises(ValueError):
+            validate("NMTOKENS", "a\xa0b")
+        assert validate("NMTOKENS", "a\tb") == ["a", "b"]
+
     def test_language(self):
         assert validate("language", "en-GB") == "en-GB"
         with pytest.raises(ValueError):

@@ -49,6 +49,11 @@ class TestListType:
     def test_whitespace_collapsed(self):
         assert self.make().validate("  1\t2\n3 ") == [1, 2, 3]
 
+    def test_only_xml_white_space_separates_items(self):
+        stype = ListType(item_type=builtin_simple_type("string"))
+        assert stype.normalize(" a\xa0b \r\n c\u3000 ") == "a\xa0b c\u3000"
+        assert stype.validate("a\xa0b c\u2028d") == ["a\xa0b", "c\u2028d"]
+
     def test_describe(self):
         assert "integer" in self.make().describe()
 
