@@ -16,6 +16,7 @@ from ..xml.chars import (
     is_name,
     is_ncname,
     split_xml_space,
+    strip_xml_space,
 )
 from ..xml.dom import Document, Element, Text
 from ..xsd.errors import ValidationReport
@@ -91,7 +92,8 @@ class DTDValidator:
                        report: ValidationReport) -> None:
         children = [c for c in element.children if isinstance(c, Element)]
         has_text = any(
-            isinstance(c, Text) and c.data.strip() for c in element.children)
+            isinstance(c, Text) and strip_xml_space(c.data)
+            for c in element.children)
 
         if etype.content_kind == "EMPTY":
             if children or has_text:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..xml.chars import strip_xml_space
 from ..xml.dom import Comment, Element, Node, ProcessingInstruction, Text
 from .components import AnyWildcard, ElementDecl, ModelGroup, Particle
 from .errors import SchemaError
@@ -43,9 +44,18 @@ class ContentAutomaton:
     def __init__(self, particle: Particle) -> None:
         self._particle = particle
         self._all_group = self._extract_all_group(particle)
+        #: What :meth:`matching_decl` answers, by child name.
+        self._decls: dict[str, ElementDecl] = {}
         if self._all_group is None:
             self._start, states = _compile_nfa(particle)
             self._states = states
+            symbols = (symbol for state in states
+                       for symbol, _ in state.transitions)
+        else:
+            symbols = (member.term for member in self._all_group.particles)
+        for symbol in symbols:
+            if isinstance(symbol, ElementDecl):
+                self._decls.setdefault(symbol.name, symbol)
 
     @staticmethod
     def _extract_all_group(particle: Particle) -> ModelGroup | None:
@@ -68,24 +78,13 @@ class ContentAutomaton:
             return self._validate_all(children)
         return self._simulate(children)
 
-    def matching_decl(self, name: str,
-                      live: set[int] | None = None) -> ElementDecl | None:
+    def matching_decl(self, name: str) -> ElementDecl | None:
         """The element declaration a child named *name* would match.
 
-        Used by the validator to recurse into children with the right type.
-        With no *live* state set, searches the whole automaton.
+        Used by the validator to recurse into children with the right
+        type: the first declaration of that name in the automaton.
         """
-        if self._all_group is not None:
-            for particle in self._all_group.particles:
-                term = particle.term
-                if isinstance(term, ElementDecl) and term.name == name:
-                    return term
-            return None
-        for state in self._states:
-            for symbol, _ in state.transitions:
-                if isinstance(symbol, ElementDecl) and symbol.name == name:
-                    return symbol
-        return None
+        return self._decls.get(name)
 
     def _simulate(self, children: list[Element]) -> str | None:
         current = {self._start.index}
@@ -297,7 +296,11 @@ def significant_text(element: Element) -> str:
 
 
 def has_significant_text(element: Element) -> bool:
-    """True if *element* has non-whitespace character data children."""
+    """True if *element* has character data other than XML white space.
+
+    Only the four ``S`` characters are ignorable in element-only and
+    empty content; U+00A0 and the other Unicode spaces are content.
+    """
     return any(
-        isinstance(child, Text) and child.data.strip()
+        isinstance(child, Text) and strip_xml_space(child.data)
         for child in element.children)

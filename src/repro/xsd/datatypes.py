@@ -46,17 +46,40 @@ class Datatype:
     id_kind: str | None = None
 
     def normalize(self, text: str) -> str:
-        """Apply this type's whiteSpace facet to raw text."""
+        """Apply this type's whiteSpace facet to raw text.
+
+        Text the facet would leave unchanged (the common case) is
+        returned as it is, after one regex search.
+        """
         if self.whitespace == PRESERVE:
             return text
-        replaced = text.replace("\t", " ").replace("\n", " ").replace("\r", " ")
         if self.whitespace == REPLACE:
-            return replaced
-        return collapse_whitespace(replaced)
+            if _REPLACEABLE.search(text) is None:
+                return text
+            return text.replace("\t", " ").replace("\n", " ") \
+                .replace("\r", " ")
+        if _COLLAPSIBLE.search(text) is None:
+            return text
+        return collapse_whitespace(text)
+
+    def check(self, text: str) -> tuple[str, object]:
+        """Normalize and parse *text*: ``(lexical form, typed value)``.
+
+        Raises ``ValueError`` when *text* is not in the lexical space.
+        """
+        lexical = self.normalize(text)
+        return lexical, self.parse(lexical)
 
     def validate(self, text: str) -> object:
         """Normalize and parse *text*; raises ``ValueError`` when invalid."""
-        return self.parse(self.normalize(text))
+        return self.check(text)[1]
+
+
+#: What the ``replace`` facet changes: tab, line feed, carriage return.
+_REPLACEABLE = re.compile("[\t\n\r]")
+#: What ``collapse`` changes besides those: a space at either end or
+#: next to another space.
+_COLLAPSIBLE = re.compile("[\t\n\r]|  |^ | $")
 
 
 # -- parsers -----------------------------------------------------------------

@@ -5,8 +5,9 @@ using it.  :func:`check_schema` performs the analogous static analysis on
 our compiled schemas:
 
 * **UPA** — Unique Particle Attribution violations in content models;
-* **identity constraints** — keyrefs referring to undefined keys,
-  field-count mismatches between keyref and key;
+* **identity constraints** — keyrefs referring to undefined keys (a
+  keyref may refer to a key or a unique), field-count mismatches
+  between keyref and key;
 * **attribute sanity** — defaults/fixed values that are invalid for the
   declared attribute type, duplicate attribute names on one type;
 * **structure** — element declarations with neither content nor
@@ -121,7 +122,6 @@ def _iter_particle_elements(particle: Particle):
 
 def _check_identity_constraints(schema: Schema,
                                 report: ValidationReport) -> None:
-    keys: dict[str, int] = {}
     names: set[str] = set()
     constraints = list(schema.iter_identity_constraints())
     for _decl, constraint in constraints:
@@ -130,8 +130,7 @@ def _check_identity_constraints(schema: Schema,
                 f"duplicate identity constraint name {constraint.name!r}",
                 code="c-props-correct.1")
         names.add(constraint.name)
-        if constraint.kind == "key":
-            keys[constraint.name] = len(constraint.fields)
+    keys = schema.referable_constraints()
     for decl, constraint in constraints:
         if constraint.kind != "keyref":
             continue
@@ -141,10 +140,10 @@ def _check_identity_constraints(schema: Schema,
                 f"keyref {constraint.name!r} (on element <{decl.name}>) "
                 f"refers to undefined key {refer!r}",
                 code="c-props-correct.2")
-        elif keys[refer] != len(constraint.fields):
+        elif len(keys[refer].fields) != len(constraint.fields):
             report.add(
                 f"keyref {constraint.name!r} has {len(constraint.fields)} "
-                f"field(s) but key {refer!r} has {keys[refer]}",
+                f"field(s) but key {refer!r} has {len(keys[refer].fields)}",
                 code="c-props-correct.2")
 
 

@@ -44,6 +44,7 @@ class Schema:
 
     def __post_init__(self) -> None:
         self._automata: dict[int, ContentAutomaton] = {}
+        self._referable: dict[str, IdentityConstraint] | None = None
 
     # -- lookups -----------------------------------------------------------
 
@@ -72,6 +73,19 @@ class Schema:
             automaton = compile_content(ctype.content)
             self._automata[key] = automaton
         return automaton
+
+    def referable_constraints(self) -> dict[str, IdentityConstraint]:
+        """The keys and uniques by name: what a keyref may refer to.
+
+        XSD 1.0 Part 1 §3.11.1 allows a key or a unique.  Built on the
+        first call and kept; callers must not change it.
+        """
+        if self._referable is None:
+            self._referable = {
+                constraint.name: constraint
+                for _, constraint in self.iter_identity_constraints()
+                if constraint.kind != "keyref"}
+        return self._referable
 
     # -- traversal ----------------------------------------------------------
 

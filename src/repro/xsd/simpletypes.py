@@ -26,53 +26,66 @@ class SimpleType:
     ``name`` is None for anonymous (Russian-doll) types.  ``base`` may be a
     built-in datatype or another :class:`SimpleType` — facets accumulate
     down the derivation chain.
+
+    The chain is walked once, on first use: the primitive at its root
+    and the facets accumulated along it are kept on the type.  A type is
+    therefore not changed after it has been used.
     """
 
     base: "Datatype | SimpleType"
     facets: list[Facet] = field(default_factory=list)
     name: str | None = None
 
+    def __post_init__(self) -> None:
+        self._plan: tuple[Datatype, tuple[Facet, ...]] | None = None
+
+    def _resolved(self) -> tuple[Datatype, tuple[Facet, ...]]:
+        """``(primitive, facets of this type and every ancestor)``."""
+        plan = self._plan
+        if plan is None:
+            facets: list[Facet] = []
+            current: Datatype | SimpleType = self
+            while isinstance(current, SimpleType):
+                facets.extend(current.facets)
+                current = current.base
+            plan = self._plan = (current, tuple(facets))
+        return plan
+
     @property
     def primitive(self) -> Datatype:
         """The built-in datatype at the root of the derivation chain."""
-        base = self.base
-        while isinstance(base, SimpleType):
-            base = base.base
-        return base
+        return self._resolved()[0]
 
     @property
     def id_kind(self) -> str | None:
         """ID/IDREF/IDREFS classification inherited from the primitive."""
-        return self.primitive.id_kind
+        return self._resolved()[0].id_kind
 
     def normalize(self, text: str) -> str:
         """Apply the primitive's whiteSpace facet."""
-        return self.primitive.normalize(text)
+        return self._resolved()[0].normalize(text)
 
-    def validate(self, text: str) -> object:
-        """Validate *text*; return the typed value or raise ``ValueError``."""
-        lexical = self.normalize(text)
-        value = self._parse(lexical)
-        for facet in self.all_facets():
+    def check(self, text: str) -> tuple[str, object]:
+        """Validate *text*: ``(lexical form, typed value)``.
+
+        Raises ``ValueError`` naming the first failing facet.
+        """
+        primitive, facets = self._resolved()
+        lexical = primitive.normalize(text)
+        value = primitive.parse(lexical)
+        for facet in facets:
             problem = facet.check(lexical, value)
             if problem is not None:
                 raise ValueError(problem)
-        return value
+        return lexical, value
 
-    def _parse(self, lexical: str) -> object:
-        base = self.base
-        if isinstance(base, SimpleType):
-            return base._parse(lexical)
-        return base.parse(lexical)
+    def validate(self, text: str) -> object:
+        """Validate *text*; return the typed value or raise ``ValueError``."""
+        return self.check(text)[1]
 
     def all_facets(self) -> list[Facet]:
         """Facets of this type and every restriction ancestor."""
-        facets: list[Facet] = []
-        current: Datatype | SimpleType = self
-        while isinstance(current, SimpleType):
-            facets.extend(current.facets)
-            current = current.base
-        return facets
+        return list(self._resolved()[1])
 
     def describe(self) -> str:
         """A short human-readable description for the tree view."""
@@ -93,7 +106,7 @@ class ListType:
     def normalize(self, text: str) -> str:
         return collapse_whitespace(text)
 
-    def validate(self, text: str) -> object:
+    def check(self, text: str) -> tuple[str, object]:
         lexical = self.normalize(text)
         items = split_xml_space(lexical)
         values = [
@@ -104,7 +117,10 @@ class ListType:
             problem = facet.check(lexical, values)
             if problem is not None:
                 raise ValueError(problem)
-        return values
+        return lexical, values
+
+    def validate(self, text: str) -> object:
+        return self.check(text)[1]
 
     def describe(self) -> str:
         item = getattr(self.item_type, "name", None) or "anonymous"
@@ -122,15 +138,19 @@ class UnionType:
     def normalize(self, text: str) -> str:
         return text.strip(" \t\r\n")
 
-    def validate(self, text: str) -> object:
+    def check(self, text: str) -> tuple[str, object]:
+        """The lexical form and value of the first member accepting *text*."""
         problems: list[str] = []
         for member in self.member_types:
             try:
-                return member.validate(text)  # type: ignore[union-attr]
+                return member.check(text)  # type: ignore[union-attr]
             except ValueError as exc:
                 problems.append(str(exc))
         raise ValueError(
             "no union member accepted the value: " + "; ".join(problems))
+
+    def validate(self, text: str) -> object:
+        return self.check(text)[1]
 
     def describe(self) -> str:
         members = ", ".join(
@@ -147,6 +167,10 @@ class AnySimpleType:
     @staticmethod
     def normalize(text: str) -> str:
         return text
+
+    @staticmethod
+    def check(text: str) -> tuple[str, object]:
+        return text, text
 
     @staticmethod
     def validate(text: str) -> object:

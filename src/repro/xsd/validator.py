@@ -19,7 +19,7 @@ from __future__ import annotations
 from ..faults import FAULTS as _FAULTS
 from ..faults import fault_point as _fault_point
 from ..obs.recorder import RECORDER as _REC
-from ..xml.chars import split_xml_space
+from ..xml.chars import is_ncname, split_xml_space, strip_xml_space
 from ..xml.dom import Attribute, Document, Element, Node
 from ..xpath import Context, XPathEvaluator
 from ..xpath.parser import parse_xpath
@@ -32,7 +32,6 @@ from .components import (
 from .content import has_significant_text, significant_text
 from .errors import ValidationReport
 from .schema import Schema
-from .simpletypes import AnySimpleType
 
 __all__ = ["validate", "SchemaValidator"]
 
@@ -121,7 +120,7 @@ class SchemaValidator:
         else:
             # Simple-type element: no attributes, no element children.
             for attr in element.attributes:
-                if not _is_namespace_decl(attr) and \
+                if not attr.is_namespace_decl and \
                         not attr.name.startswith("xsi:"):
                     report.add(
                         f"element <{element.name}> of simple type cannot "
@@ -133,10 +132,8 @@ class SchemaValidator:
                     f"element <{element.name}> of simple type cannot have "
                     "child elements", path=path, line=element.line,
                     code="cvc-type.3.1.2")
-            self._check_simple_value(
-                element.text_content(), etype,
-                f"content of <{element.name}>", path, element.line,
-                report, ids, idrefs)
+            self._check_simple_value(element.text_content(), etype, element,
+                                     path, report, ids, idrefs)
 
     def _validate_complex(self, element: Element, ctype: ComplexType,
                           path: str, report: ValidationReport,
@@ -154,9 +151,8 @@ class SchemaValidator:
                     code="cvc-complex-type.2.2")
             else:
                 self._check_simple_value(
-                    significant_text(element), ctype.simple_content,
-                    f"content of <{element.name}>", path, element.line,
-                    report, ids, idrefs)
+                    significant_text(element), ctype.simple_content, element,
+                    path, report, ids, idrefs)
             return
 
         if ctype.content is None:
@@ -205,7 +201,7 @@ class SchemaValidator:
                              ) -> None:
         present = {
             attr.name: attr for attr in element.attributes
-            if not _is_namespace_decl(attr)
+            if not attr.is_namespace_decl
         }
         for decl in ctype.attributes:
             attr = present.pop(decl.name, None)
@@ -234,9 +230,8 @@ class SchemaValidator:
                     f"attribute {decl.name!r} must have the fixed value "
                     f"{decl.fixed!r}, got {attr.value!r}", path=path,
                     line=attr.line, code="cvc-au")
-            self._check_simple_value(
-                attr.value, decl.type, f"attribute {decl.name!r}", path,
-                attr.line, report, ids, idrefs, attr_node=attr)
+            self._check_simple_value(attr.value, decl.type, attr, path,
+                                     report, ids, idrefs)
         for leftover in present.values():
             if leftover.name.startswith("xsi:"):
                 continue
@@ -245,38 +240,45 @@ class SchemaValidator:
                 f"<{element.name}>", path=path, line=leftover.line,
                 code="cvc-complex-type.3.2.2")
 
-    def _check_simple_value(self, text: str, stype, what: str, path: str,
-                            line: int | None, report: ValidationReport,
-                            ids: dict[str, str],
-                            idrefs: list[tuple[str, str, int | None]],
-                            attr_node: Attribute | None = None) -> None:
+    def _check_simple_value(self, text: str, stype,
+                            node: Attribute | Element, path: str,
+                            report: ValidationReport, ids: dict[str, str],
+                            idrefs: list[tuple[str, str, int | None]]
+                            ) -> None:
+        """Check *text*, the value of attribute *node* or the content of
+        element *node*, against *stype*; track IDs and IDREFs."""
         if _REC.enabled:
             _REC.count("xsd.check:simple-value")
+        line = node.line
         try:
-            stype.validate(text)
+            lexical, _ = stype.check(text)
         except ValueError as exc:
             if _REC.enabled:
                 _REC.count("xsd.fail:datatype")
+            what = f"attribute {node.name!r}" \
+                if isinstance(node, Attribute) else f"content of <{node.name}>"
             report.add(f"{what}: {exc}", path=path, line=line,
                        code="cvc-datatype-valid")
             return
-        id_kind = getattr(stype, "id_kind", None)
+        id_kind = stype.id_kind
+        if id_kind is None:
+            return
         if id_kind == "ID":
-            value = stype.normalize(text)
-            if attr_node is not None:
-                attr_node.is_id = True
-            if value in ids:
+            if isinstance(node, Attribute):
+                node.is_id = True
+            if lexical in ids:
                 if _REC.enabled:
                     _REC.count("xsd.fail:id")
                 report.add(
-                    f"duplicate ID {value!r} (first used at {ids[value]})",
-                    path=path, line=line, code="cvc-id.2")
+                    f"duplicate ID {lexical!r} (first used at "
+                    f"{ids[lexical]})", path=path, line=line,
+                    code="cvc-id.2")
             else:
-                ids[value] = path
+                ids[lexical] = path
         elif id_kind == "IDREF":
-            idrefs.append((stype.normalize(text), path, line))
+            idrefs.append((lexical, path, line))
         elif id_kind == "IDREFS":
-            for token in split_xml_space(stype.normalize(text)):
+            for token in split_xml_space(lexical):
                 idrefs.append((token, path, line))
 
     # -- identity constraints ------------------------------------------------------
@@ -285,29 +287,30 @@ class SchemaValidator:
                                     report: ValidationReport) -> None:
         # Collect the scope elements for every declaration with constraints.
         scopes = self._constraint_scopes(root, root_decl)
-        key_tables: dict[str, set[tuple[str, ...]]] = {}
+        # The rows of every key and unique, by name and scope element.
+        tables: dict[str, dict[Element, set[tuple[str, ...]]]] = {}
 
         # Keys and uniques first, so keyrefs can refer to them.
-        for element, constraint, path in scopes:
-            if constraint.kind in ("key", "unique"):
-                rows = self._evaluate_constraint(
-                    element, constraint, path, report)
-                if constraint.kind == "key":
-                    key_tables.setdefault(constraint.name, set()).update(
-                        row for row, _ in rows)
+        for element, constraint in scopes:
+            if constraint.kind != "keyref":
+                rows = self._evaluate_constraint(element, constraint, report)
+                tables.setdefault(constraint.name, {}).setdefault(
+                    element, set()).update(row for row, _ in rows)
 
-        for element, constraint, path in scopes:
+        referable = self.schema.referable_constraints()
+        for element, constraint in scopes:
             if constraint.kind != "keyref":
                 continue
-            rows = self._evaluate_constraint(element, constraint, path,
-                                             report, allow_missing=True)
-            target = key_tables.get(constraint.refer or "")
-            if target is None:
+            rows = self._evaluate_constraint(element, constraint, report,
+                                             allow_missing=True)
+            if constraint.refer not in referable:
                 report.add(
                     f"keyref {constraint.name!r} refers to unknown key "
-                    f"{constraint.refer!r}", path=path,
+                    f"{constraint.refer!r}",
+                    path=self._instance_path(element),
                     code="cvc-identity-constraint.4.3")
                 continue
+            target = _key_table(element, tables.get(constraint.refer, {}))
             for value, node in rows:
                 if value not in target:
                     if _REC.enabled:
@@ -321,66 +324,67 @@ class SchemaValidator:
                         line=getattr(node, "line", None),
                         code="cvc-identity-constraint.4.3")
 
-    def _constraint_scopes(self, root: Element, root_decl: ElementDecl):
-        scopes: list[tuple[Element, IdentityConstraint, str]] = []
+    def _constraint_scopes(self, root: Element, root_decl: ElementDecl
+                           ) -> list[tuple[Element, IdentityConstraint]]:
+        scopes: list[tuple[Element, IdentityConstraint]] = []
         # Walk the instance tree alongside the schema's declarations.
-        def walk(element: Element, decl: ElementDecl, path: str) -> None:
+        def walk(element: Element, decl: ElementDecl) -> None:
             for constraint in decl.constraints:
-                scopes.append((element, constraint, path))
+                scopes.append((element, constraint))
             etype = decl.type
             if not isinstance(etype, ComplexType) or etype.content is None:
                 return
             automaton = self.schema.automaton_for(etype)
-            if automaton is None:
-                return
-            ordinal: dict[str, int] = {}
             for child in element.children:
-                if not isinstance(child, Element):
-                    continue
-                number = ordinal.get(child.name, 0) + 1
-                ordinal[child.name] = number
-                child_decl = automaton.matching_decl(child.name)
-                if child_decl is not None:
-                    walk(child, child_decl,
-                         f"{path}/{child.name}[{number}]")
+                if isinstance(child, Element):
+                    child_decl = automaton.matching_decl(child.name)
+                    if child_decl is not None:
+                        walk(child, child_decl)
 
-        walk(root, root_decl, f"/{root.name}")
+        walk(root, root_decl)
         return scopes
 
     def _evaluate_constraint(self, scope: Element,
-                             constraint: IdentityConstraint, path: str,
+                             constraint: IdentityConstraint,
                              report: ValidationReport,
                              allow_missing: bool = False
                              ) -> list[tuple[tuple[str, ...], Node]]:
         if _REC.enabled:
             _REC.count(f"xsd.check:{constraint.kind}")
-        selector = parse_xpath(constraint.selector)
-        context = Context(node=scope)
-        try:
-            selected = self._xpath.evaluate_node_set(selector, context)
-        except Exception as exc:  # pragma: no cover - schema authoring error
-            report.add(
-                f"identity constraint {constraint.name!r}: selector "
-                f"{constraint.selector!r} failed: {exc}", path=path)
-            return []
+        trie = _child_path_trie(constraint.selector)
+        if trie is not None:
+            selected: list[Node] = []
+            _select_child_paths(scope, trie, scope.lookup_namespace(""),
+                                selected)
+        else:
+            selector = parse_xpath(constraint.selector)
+            context = Context(node=scope)
+            try:
+                selected = self._xpath.evaluate_node_set(selector, context)
+            except Exception as exc:  # pragma: no cover - schema error
+                report.add(
+                    f"identity constraint {constraint.name!r}: selector "
+                    f"{constraint.selector!r} failed: {exc}",
+                    path=self._instance_path(scope))
+                return []
 
         # Rows carry the node they came from, so every diagnostic below
         # (and the keyref check in the caller) can name the offending
-        # node instead of just the constraint's scope.
+        # node instead of just the constraint's scope.  The node's path
+        # is built only when a diagnostic names it.
+        fields = [(expr, self._field_reader(expr))
+                  for expr in constraint.fields]
+        report_missing = not allow_missing and constraint.kind == "key"
+        report_duplicates = constraint.kind != "keyref"
         table: list[tuple[tuple[str, ...], Node]] = []
-        seen: dict[tuple[str, ...], str] = {}
+        seen: dict[tuple[str, ...], Node] = {}
         for node in selected:
-            where = self._instance_path(node)
             values: list[str] = []
-            missing = False
-            for field_expr in constraint.fields:
-                field_ast = parse_xpath(field_expr)
-                result = self._xpath.evaluate(field_ast,
-                                              Context(node=node))
-                nodes = result if isinstance(result, list) else []
-                if not nodes:
-                    missing = True
-                    if not allow_missing and constraint.kind == "key":
+            for field_expr, read in fields:
+                value = read(node)
+                if value is None:
+                    if report_missing:
+                        where = self._instance_path(node)
                         report.add(
                             f"key {constraint.name!r}: field "
                             f"{field_expr!r} selects nothing for "
@@ -388,23 +392,47 @@ class SchemaValidator:
                             line=getattr(node, "line", None),
                             code="cvc-identity-constraint.4.2.1")
                     break
-                values.append(nodes[0].string_value())
-            if missing:
-                continue
-            row = tuple(values)
-            if row in seen and constraint.kind in ("key", "unique"):
-                if _REC.enabled:
-                    _REC.count(f"xsd.fail:{constraint.kind}")
-                shown = row[0] if len(row) == 1 else row
-                report.add(
-                    f"{constraint.kind} {constraint.name!r}: duplicate "
-                    f"value {shown!r} at {where} (first at {seen[row]})",
-                    path=where, line=getattr(node, "line", None),
-                    code="cvc-identity-constraint.4.1")
+                values.append(value)
             else:
-                seen[row] = where
-            table.append((row, node))
+                row = tuple(values)
+                first = seen.get(row)
+                if first is None:
+                    seen[row] = node
+                elif report_duplicates:
+                    if _REC.enabled:
+                        _REC.count(f"xsd.fail:{constraint.kind}")
+                    shown = row[0] if len(row) == 1 else row
+                    where = self._instance_path(node)
+                    report.add(
+                        f"{constraint.kind} {constraint.name!r}: duplicate "
+                        f"value {shown!r} at {where} (first at "
+                        f"{self._instance_path(first)})",
+                        path=where, line=getattr(node, "line", None),
+                        code="cvc-identity-constraint.4.1")
+                table.append((row, node))
         return table
+
+    def _field_reader(self, expr: str):
+        """A function from a selected node to the string value of field
+        *expr*, or None when the field selects nothing there.
+
+        An ``@name`` field reads the attribute directly; every other
+        field shape goes through the XPath evaluator.
+        """
+        name = expr[1:] if expr.startswith("@") else ""
+        if is_ncname(name) and name != "xmlns":
+            return lambda node: node.get_attribute(name) \
+                if isinstance(node, Element) else None
+        field_ast = parse_xpath(expr)
+        evaluate = self._xpath.evaluate
+
+        def read(node: Node) -> str | None:
+            result = evaluate(field_ast, Context(node=node))
+            if isinstance(result, list) and result:
+                return result[0].string_value()
+            return None
+
+        return read
 
     @staticmethod
     def _instance_path(node: Node) -> str:
@@ -435,5 +463,79 @@ class SchemaValidator:
         return "/" + "/".join(reversed(parts)) + suffix
 
 
-def _is_namespace_decl(attr: Attribute) -> bool:
-    return attr.name == "xmlns" or attr.name.startswith("xmlns:")
+def _child_path_trie(selector: str) -> dict | None:
+    """*selector* as a trie of element names, or None for other shapes.
+
+    The shape is the one schemas use most: a union of relative paths
+    of unprefixed element names (``a/b | a/b/c``).  A trie node is
+    ``[selects, {name: child node}]``.
+    """
+    trie: dict[str, list] = {}
+    for branch in selector.split("|"):
+        steps = [strip_xml_space(step) for step in branch.split("/")]
+        if not all(is_ncname(step) for step in steps):
+            return None
+        level = trie
+        for step in steps[:-1]:
+            level = level.setdefault(step, [False, {}])[1]
+        level.setdefault(steps[-1], [False, {}])[0] = True
+    return trie
+
+
+def _select_child_paths(element: Element, trie: dict, default_ns: str | None,
+                        selected: list[Node]) -> None:
+    """Append to *selected* the elements below *element* that *trie*
+    selects, in document order, as the XPath evaluator would.
+
+    An unprefixed name test matches an element in no namespace, so the
+    walk carries the default namespace declared in scope.
+    """
+    for child in element.children:
+        if not isinstance(child, Element):
+            continue
+        declarations = child.namespace_declarations
+        namespace = (declarations[""] or None) if "" in declarations \
+            else default_ns
+        if ":" in child.name:
+            name = child.local_name if child.namespace_uri is None else None
+        else:
+            name = child.name if namespace is None else None
+        node = trie.get(name)
+        if node is None:
+            continue
+        if node[0]:
+            selected.append(child)
+        if node[1]:
+            _select_child_paths(child, node[1], namespace, selected)
+
+
+def _key_table(scope: Element, instances: dict[Element, set[tuple[str, ...]]]
+               ) -> set[tuple[str, ...]]:
+    """The rows of one key or unique that a keyref on *scope* sees.
+
+    XSD 1.0 Part 1 §3.11.5: the rows of the constraint declared on
+    *scope* itself, plus the rows propagated up from its descendants'
+    tables, where a row found in the tables of two different children
+    is dropped.  Instances outside *scope* are not seen at all.
+    """
+    below: dict[Element, dict[Element, None]] = {}
+    for element in instances:
+        chain = [element]
+        while chain[-1] is not scope and chain[-1].parent is not None:
+            chain.append(chain[-1].parent)
+        if chain[-1] is scope:
+            for child, parent in zip(chain, chain[1:]):
+                below.setdefault(parent, {})[child] = None
+
+    def table(element: Element) -> set[tuple[str, ...]]:
+        rows = instances.get(element, set())
+        children = below.get(element)
+        if not children:
+            return rows
+        counts: dict[tuple[str, ...], int] = {}
+        for child in children:
+            for row in table(child):
+                counts[row] = counts.get(row, 0) + 1
+        return rows | {row for row, count in counts.items() if count == 1}
+
+    return table(scope)

@@ -42,6 +42,19 @@ class TestContent:
         report = check('<m name="n">stray<d id="a"/></m>')
         assert any("character data" in e.message for e in report.errors)
 
+    @pytest.mark.parametrize("space", [" \t\r\n", ""])
+    def test_xml_white_space_ignored_in_element_content(self, space):
+        assert check(f'<m name="n">{space}<d id="a"/>{space}</m>').valid
+
+    @pytest.mark.parametrize("space", ["\u00a0", "\u2028", "\u3000"])
+    def test_other_unicode_spaces_are_character_data(self, space):
+        # Only #x20, #x9, #xD and #xA are white space in XML; U+00A0
+        # and the other Unicode spaces are content.
+        dtd = parse_dtd("<!ELEMENT r (c*)><!ELEMENT c EMPTY>")
+        report = validate_dtd(parse(f"<r>{space}<c/></r>"), dtd)
+        assert [e.message for e in report.errors] == [
+            "element <r> has element content but contains character data"]
+
     def test_mixed_content_names(self):
         dtd = parse_dtd("<!ELEMENT p (#PCDATA | b)*><!ELEMENT b EMPTY>")
         assert validate_dtd(parse("<p>x<b/>y</p>"), dtd).valid

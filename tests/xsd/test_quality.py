@@ -38,6 +38,24 @@ class TestIdentityConstraints:
         report = check_schema(b.build(root))
         assert any("field(s)" in e.message for e in report.errors)
 
+    def test_keyref_may_refer_to_unique(self):
+        # XSD 1.0 Part 1 §3.11.1: the referenced constraint is a key or
+        # a unique.
+        b = SchemaBuilder()
+        root = b.element("m", b.complex_type(), constraints=[
+            b.unique("u", "x", ["@a"]),
+            b.keyref("r", "y", ["@a"], refer="u")])
+        assert check_schema(b.build(root)).valid
+
+    def test_keyref_to_unique_field_count_mismatch(self):
+        b = SchemaBuilder()
+        root = b.element("m", b.complex_type(), constraints=[
+            b.unique("u", "x", ["@a"]),
+            b.keyref("r", "y", ["@a", "@b"], refer="u")])
+        report = check_schema(b.build(root))
+        assert [e.message for e in report.errors] == [
+            "keyref 'r' has 2 field(s) but key 'u' has 1"]
+
     def test_duplicate_constraint_names(self):
         b = SchemaBuilder()
         root = b.element("m", b.complex_type(), constraints=[

@@ -54,6 +54,25 @@ class TestElementStructure:
                        '<items name="n">\n  <item id="a"/>\n</items>')
         assert report.valid
 
+    @pytest.mark.parametrize("space", ["\u00a0", "\u2028", "\u3000"])
+    def test_other_unicode_spaces_are_character_data(self, space):
+        # Only #x20, #x9, #xD and #xA are ignorable in element-only
+        # content; U+00A0 and the other Unicode spaces are content.
+        b = SchemaBuilder()
+        root = b.element("r", b.complex_type(content=b.sequence(
+            b.particle(b.element("c", b.complex_type()), 0, None))))
+        report = check(b.build(root), f"<r>{space}<c/></r>")
+        assert [(e.code, e.message) for e in report.errors] == [
+            ("cvc-complex-type.2.3",
+             "element <r> has element-only content but contains character "
+             "data")]
+
+    def test_other_unicode_space_in_empty_content(self):
+        b = SchemaBuilder()
+        root = b.element("r", b.complex_type())
+        report = check(b.build(root), "<r>\u00a0</r>")
+        assert [e.code for e in report.errors] == ["cvc-complex-type.2.1"]
+
     def test_nested_errors_still_reported(self, schema):
         # Both the missing name AND the nested bad attribute show up.
         report = check(
