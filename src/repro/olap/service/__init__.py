@@ -3,16 +3,11 @@
 Turns stored models into a live, compute-bound OLAP workload: seeded
 synthetic datasets derived per ``(model content hash, data seed)``, a
 declarative slice/dice/roll-up query form, and a materialized-aggregate
-cache with the same coalescing and serve-stale-or-shed degradation
-contract as the site cache.
+cache: the shared :mod:`repro.coalesce` cache the site cache also
+builds on.
 """
 
-from .aggcache import (
-    AggregateCache,
-    AggregateEntry,
-    QueryExecutionError,
-    QueryOverloadError,
-)
+from .aggcache import AggregateCache, AggregateEntry
 from .datagen import DatasetConfig, synthesize_star
 from .query import (
     QueryError,
@@ -25,8 +20,7 @@ from .render import RESULT_XSL, render_json, render_xml, result_payload
 from .service import RESULT_FORMATS, OlapService, QueryRenderError
 
 __all__ = [
-    "AggregateCache", "AggregateEntry", "QueryExecutionError",
-    "QueryOverloadError", "DatasetConfig", "synthesize_star",
+    "AggregateCache", "AggregateEntry", "DatasetConfig", "synthesize_star",
     "QueryError", "QuerySpec", "RawQuery", "parse_query",
     "resolve_query", "RESULT_XSL", "render_json", "render_xml",
     "result_payload", "RESULT_FORMATS", "OlapService",

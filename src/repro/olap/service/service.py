@@ -6,7 +6,8 @@
   model's content hash (a re-upload regenerates the dataset lazily,
   like every other content-keyed cache in the repo);
 * the :class:`~repro.olap.service.aggcache.AggregateCache` of
-  materialized results;
+  materialized results, with the build store as its disk tier when
+  one is wired;
 * the execution path: resolve the canonical query, synthesize (or
   reuse) the dataset, run the :class:`~repro.olap.engine.CubeEngine`,
   render the JSON and its ETag — all under the cache's
@@ -58,14 +59,14 @@ class OlapService:
     """Queries over derived datasets, materialized and coalesced."""
 
     def __init__(self, *, dataset: DatasetConfig | None = None,
-                 max_concurrent_executions: int | None = None,
-                 execute_wait_s: float | None = None,
                  buildstore=None) -> None:
         self.dataset = dataset or DatasetConfig()
-        self.cache = AggregateCache(
-            max_concurrent_executions=max_concurrent_executions,
-            execute_wait_s=execute_wait_s,
-            buildstore=buildstore)
+        self.cache = AggregateCache()
+        #: Optional :class:`repro.server.buildstore.BuildStore`.  When
+        #: wired (the pre-fork server, DESIGN.md §17), it is the
+        #: aggregate cache's disk tier: N workers materialize one query
+        #: once.
+        self._buildstore = buildstore
         self._meta_lock = threading.Lock()
         #: (name, seed) → (content_hash, star).
         self._stars: dict[tuple[str, int], tuple[str, StarSchema]] = {}
@@ -141,8 +142,15 @@ class OlapService:
                     row_count=payload["row_count"],
                     sliced_out=payload["sliced_out"])
 
+        store = self._buildstore
+        disk = None if store is None else (
+            lambda: store.load_aggregate(name, content_hash, spec.seed,
+                                         query_key),
+            lambda: store.lock(
+                "olap", f"{content_hash}-{spec.seed}-{query_key}"),
+            store.store_aggregate)
         return self.cache.entry(name, content_hash, spec.seed,
-                                query_key, _run)
+                                query_key, _run, disk)
 
     def rendering(self, entry: AggregateEntry,
                   fmt: str) -> tuple[bytes, str]:

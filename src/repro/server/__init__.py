@@ -4,8 +4,9 @@ The paper's deployment (§6) — XSLT runs "in the server and the HTML is
 returned to the client browser" — realized as a stdlib-only subsystem:
 
 * :mod:`repro.server.store` — the validated REST model store;
-* :mod:`repro.server.cache` — the incremental rebuild cache (content
-  hash keys, per-model build coalescing, build-time link checking);
+* :mod:`repro.server.cache` — the incremental rebuild cache (the
+  shared :mod:`repro.coalesce` cache, plus incremental builds and
+  build-time link checking);
 * :mod:`repro.server.app` — transport-agnostic routing with strong
   ETags, conditional GET, and per-extension content types;
 * :mod:`repro.server.telemetry` — the always-on metric surface:
@@ -26,13 +27,7 @@ from .app import (
     Response,
 )
 from .buildstore import BuildStore, SharedModelStore
-from .cache import (
-    CacheOverloadError,
-    SiteBuildError,
-    SiteCache,
-    SiteEntry,
-    VARIANTS,
-)
+from .cache import SiteCache, SiteEntry, VARIANTS
 from .httpd import (
     MAX_BODY_BYTES,
     READ_TIMEOUT_S,
@@ -59,7 +54,6 @@ __all__ = [
     "reuseport_available",
     "serve_forever_multi",
     "CONTENT_TYPES",
-    "CacheOverloadError",
     "MAX_BODY_BYTES",
     "METRICS_CONTENT_TYPE",
     "ModelRepositoryApp",
@@ -68,7 +62,6 @@ __all__ = [
     "RequestContext",
     "ServerTelemetry",
     "Response",
-    "SiteBuildError",
     "SiteCache",
     "SiteEntry",
     "VARIANTS",

@@ -47,25 +47,18 @@ import threading
 from dataclasses import dataclass, field
 from urllib.parse import parse_qs, unquote, urlparse
 
+from ..coalesce import CacheBuildError, CacheOverloadError
 from ..faults import FAULTS, FaultError
 from ..obs.recorder import RECORDER as _REC
 from ..olap.service import (
     OlapService,
     QueryError,
-    QueryExecutionError,
-    QueryOverloadError,
     QueryRenderError,
     RESULT_FORMATS,
     parse_query,
     resolve_query,
 )
-from .cache import (
-    CacheOverloadError,
-    SiteBuildError,
-    SiteCache,
-    SiteEntry,
-    VARIANTS,
-)
+from .cache import SiteCache, SiteEntry, VARIANTS
 from .store import ModelStore, ModelStoreError
 from .telemetry import ServerTelemetry, current_context, mark, mark_model
 
@@ -216,15 +209,8 @@ class ModelRepositoryApp:
                     # (store.put, xsd.validate on upload, ...): a clean 500
                     # instead of a handler-thread traceback.
                     response = _error(500, str(exc), kind="fault")
-                except (CacheOverloadError, QueryOverloadError) as exc:
+                except CacheOverloadError as exc:
                     response = self._shed(exc)
-                except SiteBuildError as exc:
-                    response = _error(
-                        500, f"site build failed: {exc.cause}", kind="build")
-                except QueryExecutionError as exc:
-                    response = _error(
-                        500, f"query execution failed: {exc.cause}",
-                        kind="olap")
                 except QueryRenderError as exc:
                     response = _error(500, str(exc), kind="olap")
         except BaseException:
@@ -428,9 +414,13 @@ class ModelRepositoryApp:
             status = 400 if exc.kind == "form" else 422
             return _error(status, f"query rejected ({exc.kind})",
                           kind=exc.kind, issues=exc.issues)
-        with _REC.span("olap.query", model=record.name):
-            entry, outcome = self.olap.execute(
-                record.name, record.content_hash, record.model, spec)
+        try:
+            with _REC.span("olap.query", model=record.name):
+                entry, outcome = self.olap.execute(
+                    record.name, record.content_hash, record.model, spec)
+        except CacheBuildError as exc:
+            return _error(500, f"query execution failed: {exc.cause}",
+                          kind="olap")
         mark({"hit": "olap_hit", "executed": "olap_executed",
               "coalesced": "olap_coalesced",
               "stale": "stale_served"}[outcome])
@@ -468,8 +458,8 @@ class ModelRepositoryApp:
 
         *stale* is True when the cache degraded to the previous build
         (its content hash no longer matches the record's — the rebuild
-        failed).  Overload and no-stale-fallback build failures
-        propagate as exceptions and are mapped in :meth:`handle`.
+        failed).  A failed build with no stale fallback is the 500
+        *failure*; overload propagates and is mapped in :meth:`handle`.
         """
         record = self.store.get(name)
         if record is None:
@@ -479,7 +469,11 @@ class ModelRepositoryApp:
             return None, False, _error(
                 400, f"unknown variant {variant!r} "
                      f"(expected one of {list(VARIANTS)})")
-        entry = self.cache.entry(record, variant)
+        try:
+            entry = self.cache.entry(record, variant)
+        except CacheBuildError as exc:
+            return None, False, _error(
+                500, f"site build failed: {exc.cause}", kind="build")
         return entry, entry.content_hash != record.content_hash, None
 
     def _site(self, rest: list[str], query: dict,

@@ -25,6 +25,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.coalesce import CacheBuildError, CacheOverloadError
 from repro.faults import FaultPlan, injected_faults
 from repro.mdm import sales_model
 from repro.olap import CubeEngine, populate_star, star_data_sql
@@ -33,8 +34,6 @@ from repro.olap.service import (
     DatasetConfig,
     OlapService,
     QueryError,
-    QueryExecutionError,
-    QueryOverloadError,
     QueryRenderError,
     parse_query,
     resolve_query,
@@ -347,7 +346,7 @@ class TestAggregateCacheConcurrency:
             try:
                 results.append(cache.entry(
                     "m", "h1", 1, "k", lambda: stub_entry("h1", "old")))
-            except QueryExecutionError as exc:
+            except CacheBuildError as exc:
                 results.append(exc)
 
         def newer():
@@ -359,7 +358,7 @@ class TestAggregateCacheConcurrency:
         older = threading.Thread(target=older_request)
         try:
             newer_result = cache.entry("m", "h2", 1, "k", newer)
-        except QueryExecutionError as exc:
+        except CacheBuildError as exc:
             newer_result = exc
         older.join(timeout=10)
         assert not older.is_alive()
@@ -384,8 +383,8 @@ class TestAggregateCacheConcurrency:
             raise RuntimeError("engine exploded")
 
         newer, older = self._older_request_behind(cache, boom)
-        assert isinstance(newer, QueryExecutionError)
-        assert isinstance(older, QueryExecutionError)
+        assert isinstance(newer, CacheBuildError)
+        assert isinstance(older, CacheBuildError)
         assert "engine exploded" in str(older)
         stats = cache.stats()
         assert (stats["executions"], stats["failures"]) == (1, 1)
@@ -396,7 +395,7 @@ class TestAggregateCacheConcurrency:
         def boom():
             raise RuntimeError("cold failure")
 
-        with pytest.raises(QueryExecutionError) as excinfo:
+        with pytest.raises(CacheBuildError) as excinfo:
             cache.entry("m", "h1", 1, "k", boom)
         assert "cold failure" in str(excinfo.value)
 
@@ -416,7 +415,7 @@ class TestAggregateCacheConcurrency:
         holder.start()
         try:
             assert started.wait(timeout=10)
-            with pytest.raises(QueryOverloadError) as excinfo:
+            with pytest.raises(CacheOverloadError) as excinfo:
                 cache.entry("m", "h1", 1, "k2",
                             lambda: stub_entry("h1", "fast"))
             assert excinfo.value.retry_after_s >= 1
@@ -448,6 +447,67 @@ class TestAggregateCacheConcurrency:
         assert cache.invalidate("a") == 1
         assert cache.stats()["entries"] == 1
 
+    @staticmethod
+    def _invalidate_during_execution(cache: AggregateCache,
+                                     request_after: bool):
+        """Invalidate model "m" while an execution of one of its keys is
+        in flight; with *request_after*, the invalidating thread then
+        requests that key again.
+
+        Returns what ``invalidate`` returned and the most executions of
+        the key that ever ran at once.
+        """
+        started, release = threading.Event(), threading.Event()
+        lock = threading.Lock()
+        running, most = [0], [0]
+        removed: list[int] = []
+
+        def execute(wait: bool):
+            def run():
+                with lock:
+                    running[0] += 1
+                    most[0] = max(most[0], running[0])
+                if wait:
+                    started.set()
+                    assert release.wait(timeout=10)
+                with lock:
+                    running[0] -= 1
+                return stub_entry("h1", "x")
+            return run
+
+        def invalidate():
+            removed.append(cache.invalidate("m"))
+            if request_after:
+                cache.entry("m", "h1", 1, "k", execute(False))
+
+        executing = threading.Thread(target=lambda: cache.entry(
+            "m", "h1", 1, "k", execute(True)))
+        executing.start()
+        assert started.wait(timeout=10)
+        invalidating = threading.Thread(target=invalidate)
+        invalidating.start()
+        # Time for an invalidate that does not wait to act.
+        invalidating.join(timeout=0.2)
+        release.set()
+        for thread in (executing, invalidating):
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        return removed, most[0]
+
+    def test_invalidate_waits_out_the_execution_in_flight(self):
+        """The execution does not store its entry after the drop."""
+        cache = AggregateCache()
+        removed, _ = self._invalidate_during_execution(
+            cache, request_after=False)
+        assert removed == [1]
+        assert cache.stats()["entries"] == 0
+
+    def test_request_after_invalidate_never_executes_beside_one(self):
+        cache = AggregateCache()
+        _, most_at_once = self._invalidate_during_execution(
+            cache, request_after=True)
+        assert most_at_once == 1
+
 
 class TestFaultPoints:
     def test_execute_fault_degrades_warm_queries_to_stale(self):
@@ -464,7 +524,7 @@ class TestFaultPoints:
         service = OlapService(dataset=SMALL)
         spec = resolve({"fact": "Sales", "measure": "qty:SUM", "seed": "7"})
         with injected_faults(FaultPlan().add("olap.generate")):
-            with pytest.raises(QueryExecutionError):
+            with pytest.raises(CacheBuildError):
                 service.execute("m", "h1", MODEL, spec)
         # Recovery: the same query executes cleanly once faults lift.
         entry, outcome = service.execute("m", "h1", MODEL, spec)

@@ -13,14 +13,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.coalesce import CacheBuildError, CacheOverloadError
 from repro.faults import FAULTS, FaultPlan, injected_faults
 from repro.mdm import model_to_xml, sales_model, two_facts_model
-from repro.server import (
-    CacheOverloadError,
-    ModelRepositoryApp,
-    SiteBuildError,
-    SiteCache,
-)
+from repro.server import ModelRepositoryApp, SiteCache
 
 SALES_XML = model_to_xml(sales_model()).encode("utf-8")
 RETAIL_XML = model_to_xml(two_facts_model()).encode("utf-8")
@@ -140,6 +136,49 @@ class TestServeStale:
         assert all(r.header("X-Goldcase-Stale") == "true"
                    for r in responses)
 
+    def test_waiter_behind_a_newer_build_builds_its_own_hash(
+            self, app, monkeypatch):
+        """A request that read the record just before a re-upload and
+        then waited on the lock through the newer build: that build
+        succeeded, so the waiter builds its own bytes instead of being
+        served the newer build marked stale.  Deterministic: the newer
+        build returns only once the older request has asked for the
+        lock, after its attempt snapshot."""
+        from repro.server import cache as cache_module
+
+        older_record = app.store.get("sales")
+        app.handle("PUT", "/models/sales", {}, SALES_V2)
+        newer_record = app.store.get("sales")
+        real_build = cache_module._build_variant
+        model_lock = app.cache._model_lock
+        waiting = threading.Event()
+        results: list = []
+
+        def tracking_model_lock(*args):
+            if threading.current_thread() is older:
+                waiting.set()
+            return model_lock(*args)
+
+        def gated_build(record, variant):
+            if record.content_hash == newer_record.content_hash:
+                older.start()
+                assert waiting.wait(timeout=10)
+            return real_build(record, variant)
+
+        monkeypatch.setattr(app.cache, "_model_lock", tracking_model_lock)
+        monkeypatch.setattr(cache_module, "_build_variant", gated_build)
+        older = threading.Thread(target=lambda: results.append(
+            app.cache.entry(older_record, "multi")))
+        newer = app.cache.entry(newer_record, "multi")
+        older.join(timeout=10)
+        assert not older.is_alive()
+        [waiter] = results
+        assert newer.content_hash == newer_record.content_hash
+        assert waiter.content_hash == older_record.content_hash
+        stats = app.cache.stats()
+        assert (stats["rebuilds"], stats["stale_served"]) == (2, 0)
+        assert stats["build_failures"] == 0
+
 
 class TestColdFailure:
     def test_cold_build_failure_is_a_500_not_a_poisoned_entry(self, app):
@@ -172,7 +211,7 @@ class TestColdFailure:
     def test_direct_cache_api_raises_site_build_error(self, app):
         record = app.store.get("sales")
         with injected_faults(FaultPlan().add("cache.rebuild")):
-            with pytest.raises(SiteBuildError) as excinfo:
+            with pytest.raises(CacheBuildError) as excinfo:
                 app.cache.entry(record, "multi")
         assert excinfo.value.name == "sales"
 
@@ -219,7 +258,7 @@ class TestShedding:
     def test_direct_cache_api_raises_overload(self):
         cache = SiteCache(max_concurrent_builds=1, build_wait_s=0.01)
         # Exhaust the only slot from this thread, then ask for a build.
-        assert cache._build_slots.acquire(timeout=1)
+        assert cache._slots.acquire(timeout=1)
         try:
             app = ModelRepositoryApp(cache=cache)
             app.handle("PUT", "/models/sales", {}, SALES_XML)
@@ -227,7 +266,7 @@ class TestShedding:
             with pytest.raises(CacheOverloadError):
                 cache.entry(record, "multi")
         finally:
-            cache._build_slots.release()
+            cache._slots.release()
 
 
 class TestPerPageFaults:

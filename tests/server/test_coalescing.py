@@ -72,10 +72,10 @@ class TestCoalescing:
 
     def test_distinct_models_use_distinct_locks(self, app):
         app.handle("PUT", "/models/retail", {}, RETAIL_XML)
-        lock_sales = app.cache._model_lock("sales")
-        lock_retail = app.cache._model_lock("retail")
+        lock_sales = app.cache._key_lock(("sales", "multi"))
+        lock_retail = app.cache._key_lock(("retail", "multi"))
         assert lock_sales is not lock_retail
-        assert app.cache._model_lock("sales") is lock_sales
+        assert app.cache._key_lock(("sales", "multi")) is lock_sales
 
     def test_distinct_models_build_concurrently(self, app, monkeypatch):
         """While one model's build sleeps, the other's completes."""
