@@ -37,32 +37,19 @@ Results merge into ``BENCH_c6_compile.json`` under ``--label``::
 
 from __future__ import annotations
 
-import argparse
 import contextlib
+import functools
 import gc
-import http.client
-import json
-import os
 import statistics
 import sys
-import threading
 from time import perf_counter
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
-
+import httpload
+from loadgen import median_iqr
 from repro.mdm import model_to_xml, synthetic_model
 from repro.server import ModelServer
 from repro.web.publisher import clear_publisher_caches, publish_multi_page
 from repro.xslt import CompiledTransformer, set_compile_enabled
-
-#: Same size ladder as bench_s4_server / bench_r5_faults.
-SIZES = {
-    "medium": dict(facts=5, dimensions=10, levels_per_dimension=4,
-                   measures_per_fact=6),
-    "large": dict(facts=20, dimensions=25, levels_per_dimension=5,
-                  measures_per_fact=8),
-}
 
 #: Acceptance: compiled cold publish at least 2x faster (median of
 #: the per-pair ratios).
@@ -101,9 +88,9 @@ def _publish(model, enabled, *, cold):
 def _paired_publishes(model, *, repeats, cold):
     """*repeats* pairs of publishes, one per engine, alternating.
 
-    Returns each engine's median milliseconds and the median of the
-    per-pair ratios interpreted / compiled.  The engine that goes first
-    alternates from pair to pair.
+    Returns each engine's median and IQR in milliseconds, and the
+    median and IQR of the per-pair ratios interpreted / compiled.  The
+    engine that goes first alternates from pair to pair.
     """
     if not cold:
         for _, enabled in ENGINES:  # prime the stylesheet caches
@@ -115,20 +102,22 @@ def _paired_publishes(model, *, repeats, cold):
         for engine, enabled in order:
             samples[engine].append(_publish(model, enabled, cold=cold)[0])
         ratios.append(samples["interpreted"][-1] / samples["compiled"][-1])
-    return ({engine: 1000 * statistics.median(values)
+    return ({engine: [1000 * value for value in median_iqr(values)]
              for engine, values in samples.items()},
-            statistics.median(ratios))
+            median_iqr(ratios))
 
 
 def _engine_times(model, *, repeats):
-    """{cold,warm} medians for both engines, the paired speedups, and
-    the byte-identity check."""
+    """{cold,warm} medians and IQRs for both engines, the paired
+    speedups, and the byte-identity check."""
     cold_ms, cold_speedup = _paired_publishes(model, repeats=repeats,
                                               cold=True)
     warm_ms, warm_speedup = _paired_publishes(model, repeats=repeats,
                                               cold=False)
-    times = {engine: {"cold_ms": cold_ms[engine],
-                      "warm_ms": warm_ms[engine]}
+    times = {engine: {"cold_ms": cold_ms[engine][0],
+                      "cold_iqr_ms": cold_ms[engine][1],
+                      "warm_ms": warm_ms[engine][0],
+                      "warm_iqr_ms": warm_ms[engine][1]}
              for engine, _ in ENGINES}
     pages = {engine: _publish(model, enabled, cold=False)[1]
              for engine, enabled in ENGINES}
@@ -154,122 +143,42 @@ def _compile_cost(repeats):
     return 1000 * statistics.median(samples), stats
 
 
-def _http_sweep(server, name, pages, *, clients, requests_per_client):
-    """Concurrent warm keep-alive GET sweep; every response must be 200.
-
-    Returns the sorted latencies (s), the elapsed wall time (s) and the
-    violations."""
-    latencies: list[list[float]] = [[] for _ in range(clients)]
-    violations: list[str] = []
-    lock = threading.Lock()
-    barrier = threading.Barrier(clients + 1)
-
-    def client(index):
-        connection = http.client.HTTPConnection(
-            server.host, server.port, timeout=60)
-        try:
-            barrier.wait()
-            recorded = latencies[index]
-            for number in range(requests_per_client):
-                page = pages[(index + number) % len(pages)]
-                start = perf_counter()
-                connection.request("GET", f"/site/{name}/{page}")
-                response = connection.getresponse()
-                payload = response.read()
-                recorded.append(perf_counter() - start)
-                if response.status != 200 or not payload:
-                    with lock:
-                        violations.append(
-                            f"status {response.status} for {page}")
-        except (OSError, http.client.HTTPException) as exc:
-            with lock:
-                violations.append(f"transport error: {exc!r}")
-        finally:
-            connection.close()
-
-    threads = [threading.Thread(target=client, args=(index,), daemon=True)
-               for index in range(clients)]
-    for thread in threads:
-        thread.start()
-    barrier.wait()
-    start = perf_counter()
-    for thread in threads:
-        thread.join()
-    elapsed = perf_counter() - start
-    merged = sorted(s for per_client in latencies for s in per_client)
-    return merged, elapsed, violations
-
-
-def _p50_ms(latencies):
-    return 1000 * latencies[len(latencies) // 2]
-
-
 def _start_server(stack, xml, name, enabled):
-    """A fresh server whose site one engine built; (server, pages)."""
+    """A fresh server whose site one engine built; (server, paths)."""
     set_compile_enabled(enabled)
     clear_publisher_caches()
     try:
         server = stack.enter_context(ModelServer())
-        connection = http.client.HTTPConnection(
-            server.host, server.port, timeout=60)
-        try:
-            connection.request("PUT", f"/models/{name}", body=xml)
-            assert connection.getresponse().read() is not None
-            connection.request("GET", f"/site/{name}/index.html")
-            response = connection.getresponse()
-            assert response.status == 200, response.read()
-            response.read()
-        finally:
-            connection.close()
+        reply = httpload.fetch(server, "PUT", f"/models/{name}", body=xml)
+        assert reply.status in (200, 201), reply.body
+        httpload.prime(server, [f"/site/{name}/index.html"])
     finally:
         set_compile_enabled(None)
-    return server, sorted(server.app.cache.peek(name, "multi").pages)
+    pages = sorted(server.app.cache.peek(name, "multi").pages)
+    return server, [f"/site/{name}/{page}" for page in pages]
 
 
-def _server_run(xml, name, *, clients, requests_per_client, rounds):
+def _server_run(xml, name, *, per_client, rounds):
     """Warm HTTP sweeps, alternating between the engines' servers.
 
-    Returns each engine's summary over its *rounds* sweeps and the
-    median of the per-round p50 ratios compiled / interpreted.
+    Returns each engine's summary over its rounds and the median of the
+    per-round p50 ratios compiled / interpreted.
     """
-    sweeps = {engine: [] for engine, _ in ENGINES}
     with contextlib.ExitStack() as stack:
         servers = {engine: _start_server(stack, xml, name, enabled)
                    for engine, enabled in ENGINES}
-        for server, pages in servers.values():
-            # Unmeasured warmup: touch every page and settle the
-            # thread pool before timing.
-            _http_sweep(server, name, pages, clients=clients,
-                        requests_per_client=max(
-                            5, requests_per_client // 4))
-        for number in range(rounds):
-            order = ENGINES if number % 2 == 0 else ENGINES[::-1]
-            for engine, _ in order:
-                server, pages = servers[engine]
-                gc.collect()
-                sweeps[engine].append(_http_sweep(
-                    server, name, pages, clients=clients,
-                    requests_per_client=requests_per_client))
-    ratio = statistics.median(
-        _p50_ms(compiled[0]) / _p50_ms(interpreted[0])
-        for compiled, interpreted in zip(sweeps["compiled"],
-                                         sweeps["interpreted"]))
-    results = {}
-    for engine, runs in sweeps.items():
-        merged = sorted(s for latencies, _, _ in runs for s in latencies)
-        total = len(merged)
-        results[engine] = {
-            "requests": total,
-            "throughput_rps": total / sum(elapsed for _, elapsed, _ in runs),
-            "p50_ms": _p50_ms(merged),
-            "p99_ms": 1000 * merged[min(total - 1, (total * 99) // 100)],
-            "violations": [v for _, _, found in runs for v in found],
-        }
-    return results, ratio
+        series = httpload.measure(
+            {engine: functools.partial(httpload.sweep, server, paths,
+                                       per_client)
+             for engine, (server, paths) in servers.items()}, rounds)
+    return ({engine: httpload.summarize(runs)
+             for engine, runs in series.items()},
+            httpload.paired(series["compiled"], series["interpreted"],
+                            "p50_ms"))
 
 
-def run(size, *, repeats, clients, requests_per_client):
-    model = synthetic_model(**SIZES[size])
+def run(size, *, repeats, per_client):
+    model = synthetic_model(**httpload.SIZES[size])
     # Warm the process-global caches (xpath parse, patterns, AVTs) once
     # per engine: they survive clear_publisher_caches(), so without this
     # whichever engine runs first pays all their misses.
@@ -285,17 +194,19 @@ def run(size, *, repeats, clients, requests_per_client):
                       - times["compiled"]["warm_ms"])
     http, http_p50_ratio = _server_run(
         model_to_xml(model).encode("utf-8"), f"bench-{size}",
-        clients=clients, requests_per_client=requests_per_client,
-        rounds=repeats)
+        per_client=per_client, rounds=repeats)
     return {
         "size": size,
-        "model": dict(SIZES[size]),
+        "model": dict(httpload.SIZES[size]),
         "pages": page_count,
         "byte_identical": identical,
         "publish": times,
-        # Medians of the per-pair ratios interpreted / compiled.
-        "cold_speedup": speedups["cold"],
-        "warm_speedup": speedups["warm"],
+        "pairs": repeats,
+        # Medians and IQRs of the per-pair ratios interpreted / compiled.
+        "cold_speedup": speedups["cold"][0],
+        "cold_speedup_iqr": speedups["cold"][1],
+        "warm_speedup": speedups["warm"][0],
+        "warm_speedup_iqr": speedups["warm"][1],
         "compile_ms": compile_ms,
         "compile_stats": compile_stats,
         # Publishes after which ahead-of-time compilation has paid for
@@ -303,32 +214,18 @@ def run(size, *, repeats, clients, requests_per_client):
         "publishes_to_amortize": (compile_ms / warm_saving_ms
                                   if warm_saving_ms > 0 else None),
         "http_warm": http,
-        # Median of the per-round ratios compiled / interpreted.
+        # Per-round p50 ratios compiled / interpreted.
         "http_warm_p50_ratio": http_p50_ratio,
     }
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="compiled-vs-interpreted XSLT benchmark (C6)")
-    parser.add_argument("--smoke", action="store_true",
-                        help="medium model, fewer repeats, no JSON")
-    parser.add_argument("--check", action="store_true",
-                        help="exit 1 when a speedup gate or byte-identity "
-                             "check fails")
-    parser.add_argument("--label", default="after")
-    parser.add_argument("--json", default=os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), "..",
-        "BENCH_c6_compile.json"))
-    parser.add_argument("--clients", type=int, default=8)
-    args = parser.parse_args(argv)
-
+    args = httpload.parser("compiled-vs-interpreted XSLT benchmark (C6)",
+                           "BENCH_c6_compile.json").parse_args(argv)
     if args.smoke:
-        result = run("medium", repeats=5, clients=min(args.clients, 4),
-                     requests_per_client=25)
+        result = run("medium", repeats=5, per_client=25)
     else:
-        result = run("large", repeats=5, clients=args.clients,
-                     requests_per_client=50)
+        result = run("large", repeats=5, per_client=50)
 
     publish = result["publish"]
     print(f"cold publish: compiled {publish['compiled']['cold_ms']:.1f} ms "
@@ -344,48 +241,29 @@ def main(argv=None) -> int:
           f"{amortize:.2f} publishes" if amortize is not None else
           "compile:      warm saving <= 0; never amortizes")
     http = result["http_warm"]
-    print(f"http warm:    compiled {http['compiled']['throughput_rps']:.0f} "
-          f"req/s (p50 {http['compiled']['p50_ms']:.2f} ms) vs interpreted "
-          f"{http['interpreted']['throughput_rps']:.0f} req/s "
-          f"(p50 {http['interpreted']['p50_ms']:.2f} ms; p50 ratio "
-          f"{result['http_warm_p50_ratio']:.2f} median pair)")
+    http_ratio = result["http_warm_p50_ratio"]["median"]
+    for engine in ("compiled", "interpreted"):
+        print(f"http {engine + ':':13s}{httpload.describe(http[engine])}")
+    print(f"http p50 ratio: {http_ratio:.2f} compiled / interpreted "
+          f"(median pair)")
     print(f"byte-identical: {result['byte_identical']}")
 
-    if not args.smoke:
-        payload = {"benchmark": "c6_compile", "runs": {}}
-        if os.path.exists(args.json):
-            with open(args.json, encoding="utf-8") as handle:
-                payload = json.load(handle)
-        payload.setdefault("runs", {})[args.label] = result
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {os.path.normpath(args.json)}")
-
-    if args.check:
-        failures = []
-        if not result["byte_identical"]:
-            failures.append("compiled pages differ from interpreted pages")
-        min_cold = SMOKE_MIN_COLD_SPEEDUP if args.smoke \
-            else MIN_COLD_SPEEDUP
-        if result["cold_speedup"] < min_cold:
-            failures.append(f"cold speedup {result['cold_speedup']:.2f}x "
-                            f"< {min_cold}x")
-        if result["warm_speedup"] < MIN_WARM_SPEEDUP:
-            failures.append(f"warm speedup {result['warm_speedup']:.2f}x "
-                            f"< {MIN_WARM_SPEEDUP}x")
-        if result["http_warm_p50_ratio"] > MAX_WARM_HTTP_P50_RATIO:
-            failures.append(
-                f"warm http p50 ratio {result['http_warm_p50_ratio']:.2f} "
-                f"> {MAX_WARM_HTTP_P50_RATIO}")
-        for engine in ("compiled", "interpreted"):
-            for violation in result["http_warm"][engine]["violations"]:
-                failures.append(f"http {engine}: {violation}")
-        if failures:
-            print("CHECK FAILED: " + "; ".join(failures[:10]))
-            return 1
-        print("CHECK OK")
-    return 0
+    failures = []
+    if not result["byte_identical"]:
+        failures.append("compiled pages differ from interpreted pages")
+    min_cold = SMOKE_MIN_COLD_SPEEDUP if args.smoke else MIN_COLD_SPEEDUP
+    if result["cold_speedup"] < min_cold:
+        failures.append(f"cold speedup {result['cold_speedup']:.2f}x "
+                        f"< {min_cold}x")
+    if result["warm_speedup"] < MIN_WARM_SPEEDUP:
+        failures.append(f"warm speedup {result['warm_speedup']:.2f}x "
+                        f"< {MIN_WARM_SPEEDUP}x")
+    if http_ratio > MAX_WARM_HTTP_P50_RATIO:
+        failures.append(f"warm http p50 ratio {http_ratio:.2f} "
+                        f"> {MAX_WARM_HTTP_P50_RATIO}")
+    for engine in ("compiled", "interpreted"):
+        failures += httpload.failed(f"http {engine}", http[engine])
+    return httpload.finish(args, "c6_compile", result, failures)
 
 
 if __name__ == "__main__":

@@ -37,27 +37,14 @@ Results merge into ``BENCH_i7_incremental.json`` under ``--label``::
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import statistics
 import sys
 from time import perf_counter
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
-
+import httpload
+from loadgen import median_iqr
 from repro.mdm import document_to_model, model_to_document, synthetic_model
 from repro.web.incremental import publish_with_index, republish_incremental
 from repro.web.publisher import clear_publisher_caches, publish_multi_page
-
-#: Same size ladder as bench_c6_compile / bench_s4_server.
-SIZES = {
-    "medium": dict(facts=5, dimensions=10, levels_per_dimension=4,
-                   measures_per_fact=6),
-    "large": dict(facts=20, dimensions=25, levels_per_dimension=5,
-                  measures_per_fact=8),
-}
 
 #: Acceptance (ISSUE 7): incremental republish of a single-element edit
 #: at least 5x faster than a cold publish on the large model.
@@ -86,17 +73,23 @@ def _model_level_edit(model):
     return document_to_model(document)
 
 
+def _ms(samples):
+    """Median and IQR of *samples* (seconds), in milliseconds."""
+    return tuple(1000 * value for value in median_iqr(samples))
+
+
 def _median_ms(thunk, repeats):
     samples = []
     for _ in range(repeats):
         start = perf_counter()
         thunk()
         samples.append(perf_counter() - start)
-    return 1000 * statistics.median(samples)
+    return _ms(samples)
 
 
 def _median_cold_ms(edited, repeats):
-    """Median of cache-cleared cold publishes (the pre-PR per-edit cost).
+    """Median and IQR of cache-cleared cold publishes (the pre-PR
+    per-edit cost).
 
     Mirrors bench_c6's cold leg: caches cleared *outside* the timed
     region, so the number is parse + compile + transform + serialize.
@@ -108,7 +101,7 @@ def _median_cold_ms(edited, repeats):
         publish_multi_page(edited)
         samples.append(perf_counter() - start)
     publish_multi_page(edited)  # leave the caches warm again
-    return 1000 * statistics.median(samples)
+    return _ms(samples)
 
 
 def _measure_single_edit(model, site, index, *, repeats):
@@ -135,12 +128,15 @@ def _measure_single_edit(model, site, index, *, repeats):
         pages = dict(new_site.pages)
         assert pages == cold_pages[step % 2], "incremental bytes diverged"
 
-    cold_ms = _median_cold_ms(edit_a, repeats)
-    incremental_ms = 1000 * statistics.median(samples)
+    cold_ms, cold_iqr_ms = _median_cold_ms(edit_a, repeats)
+    incremental_ms, incremental_iqr_ms = _ms(samples)
     info = infos[-1]
     return {
         "cold_ms": cold_ms,
+        "cold_iqr_ms": cold_iqr_ms,
         "incremental_ms": incremental_ms,
+        "incremental_iqr_ms": incremental_iqr_ms,
+        "incremental_steps": len(samples),
         "speedup": cold_ms / incremental_ms,
         "mode": info["mode"],
         "pages_rebuilt": info["pages_rebuilt"],
@@ -160,14 +156,16 @@ def _measure_model_edit(model, site, index, *, repeats):
             edited, dict(previous_pages), index)
         infos.append(info)
 
-    incremental_ms = _median_ms(incremental, repeats)
+    incremental_ms, incremental_iqr_ms = _median_ms(incremental, repeats)
     new_site, _, _ = republish_incremental(edited, dict(previous_pages), index)
     assert new_site.pages == cold_pages, "incremental bytes diverged"
-    cold_ms = _median_cold_ms(edited, repeats)
+    cold_ms, cold_iqr_ms = _median_cold_ms(edited, repeats)
     info = infos[-1]
     return {
         "cold_ms": cold_ms,
+        "cold_iqr_ms": cold_iqr_ms,
         "incremental_ms": incremental_ms,
+        "incremental_iqr_ms": incremental_iqr_ms,
         "speedup": cold_ms / incremental_ms,
         "mode": info["mode"],
         "pages_rebuilt": info["pages_rebuilt"],
@@ -176,12 +174,14 @@ def _measure_model_edit(model, site, index, *, repeats):
 
 
 def run(size, *, repeats):
-    model = synthetic_model(**SIZES[size])
+    model = synthetic_model(**httpload.SIZES[size])
     clear_publisher_caches()
     publish_multi_page(model)  # warm stylesheet/transformer caches
 
-    tracked_plain_ms = _median_ms(lambda: publish_multi_page(model), repeats)
-    tracked_ms = _median_ms(lambda: publish_with_index(model), repeats)
+    plain_ms, plain_iqr_ms = _median_ms(lambda: publish_multi_page(model),
+                                        repeats)
+    tracked_ms, tracked_iqr_ms = _median_ms(
+        lambda: publish_with_index(model), repeats)
     site, index = publish_with_index(model)
 
     single = _measure_single_edit(model, site, index, repeats=repeats)
@@ -189,29 +189,22 @@ def run(size, *, repeats):
 
     return {
         "size": size,
-        "model": dict(SIZES[size]),
+        "model": dict(httpload.SIZES[size]),
         "pages": len(index.page_names),
+        "repeats": repeats,
         "single_edit": single,
         "model_level_edit": worst,
         "tracked_publish_ms": tracked_ms,
-        "plain_publish_ms": tracked_plain_ms,
-        "tracking_overhead_ratio": tracked_ms / tracked_plain_ms,
+        "tracked_publish_iqr_ms": tracked_iqr_ms,
+        "plain_publish_ms": plain_ms,
+        "plain_publish_iqr_ms": plain_iqr_ms,
+        "tracking_overhead_ratio": tracked_ms / plain_ms,
     }
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="incremental-republish benchmark (I7)")
-    parser.add_argument("--smoke", action="store_true",
-                        help="medium model, fewer repeats, no JSON")
-    parser.add_argument("--check", action="store_true",
-                        help="exit 1 when the speedup gate or the "
-                             "incremental path fails")
-    parser.add_argument("--label", default="after")
-    parser.add_argument("--json", default=os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), "..",
-        "BENCH_i7_incremental.json"))
-    args = parser.parse_args(argv)
+    args = httpload.parser("incremental-republish benchmark (I7)",
+                           "BENCH_i7_incremental.json").parse_args(argv)
 
     if args.smoke:
         result = run("medium", repeats=5)
@@ -230,30 +223,14 @@ def main(argv=None) -> int:
           f"ms vs plain {result['plain_publish_ms']:.1f} ms "
           f"({result['tracking_overhead_ratio']:.2f}x)")
 
-    if not args.smoke:
-        payload = {"benchmark": "i7_incremental", "runs": {}}
-        if os.path.exists(args.json):
-            with open(args.json, encoding="utf-8") as handle:
-                payload = json.load(handle)
-        payload.setdefault("runs", {})[args.label] = result
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {os.path.normpath(args.json)}")
-
-    if args.check:
-        failures = []
-        min_speedup = SMOKE_MIN_SPEEDUP if args.smoke else MIN_SPEEDUP
-        if single["speedup"] < min_speedup:
-            failures.append(f"single-edit speedup {single['speedup']:.2f}x "
-                            f"< {min_speedup}x")
-        if single["mode"] != "incremental":
-            failures.append(f"single edit took mode {single['mode']!r}")
-        if failures:
-            print("CHECK FAILED: " + "; ".join(failures))
-            return 1
-        print("CHECK OK")
-    return 0
+    failures = []
+    min_speedup = SMOKE_MIN_SPEEDUP if args.smoke else MIN_SPEEDUP
+    if single["speedup"] < min_speedup:
+        failures.append(f"single-edit speedup {single['speedup']:.2f}x "
+                        f"< {min_speedup}x")
+    if single["mode"] != "incremental":
+        failures.append(f"single edit took mode {single['mode']!r}")
+    return httpload.finish(args, "i7_incremental", result, failures)
 
 
 if __name__ == "__main__":

@@ -23,7 +23,13 @@ benchmark answers the two questions that design owes:
   cores to show it*.  On fewer than 4 usable cores the scaling gate is
   recorded as skipped rather than fabricated: reuseport sharding cannot
   manufacture parallelism the kernel scheduler does not have.  The
-  measured numbers are written either way.
+  measured numbers, N=2 included, are written either way.
+
+The in-process server and the N=1, 2 and 4 fleets are all up at once,
+and :func:`httpload.measure` alternates them round by round; every
+ratio is the median of the per-round ratios.  Each worker is primed on
+a connection :func:`loadgen.pin` landed on it, and a sweep's clients
+are pinned round-robin across the workers.
 
 Results merge into ``BENCH_m10_multicore.json`` under ``--label``::
 
@@ -34,27 +40,15 @@ Results merge into ``BENCH_m10_multicore.json`` under ``--label``::
 
 from __future__ import annotations
 
-import argparse
-import http.client
-import json
+import contextlib
+import functools
 import os
 import sys
-import threading
-from time import perf_counter
+import tempfile
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
-
+import httpload
 from repro.mdm import model_to_xml, synthetic_model
 from repro.server import ModelRepositoryApp, ModelServer, MultiWorkerServer
-
-#: Same size ladder as bench_s4_server / bench_r5_faults.
-SIZES = {
-    "medium": dict(facts=5, dimensions=10, levels_per_dimension=4,
-                   measures_per_fact=6),
-    "large": dict(facts=20, dimensions=25, levels_per_dimension=5,
-                  measures_per_fact=8),
-}
 
 #: Fleet widths measured, in order.
 WORKER_COUNTS = (1, 2, 4)
@@ -69,6 +63,9 @@ MAX_SINGLE_WORKER_P50_RATIO = 1.5
 MIN_FOUR_WORKER_SPEEDUP = 2.5
 CORES_FOR_SCALING_GATE = 4
 
+#: A warm fleet answers every page, or sheds with a Retry-After.
+ACCEPT = ("ok", "shed")
+
 
 def _usable_cores() -> int:
     """Cores the scheduler will actually give us (affinity-aware)."""
@@ -76,21 +73,6 @@ def _usable_cores() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - non-Linux
         return os.cpu_count() or 1
-
-
-def _request(connection, method, path, *, body=None):
-    connection.request(method, path, body=body)
-    response = connection.getresponse()
-    payload = response.read()
-    return response.status, dict(response.getheaders()), payload
-
-
-def _one_shot(port, method, path, *, body=None):
-    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
-    try:
-        return _request(connection, method, path, body=body)
-    finally:
-        connection.close()
 
 
 def _pages_for(xml: bytes, name: str) -> list[str]:
@@ -101,214 +83,91 @@ def _pages_for(xml: bytes, name: str) -> list[str]:
     return sorted(app.cache.peek(name, "multi").pages)
 
 
-def _prime(port: int, name: str, pages: list[str], workers: int) -> None:
-    """Build the site and warm every worker's in-memory cache.
+def _boot(server, name: str, xml: bytes, paths: list[str],
+          workers: int | None) -> None:
+    """Upload the model and warm every worker's in-memory cache.
 
-    The first pass (any worker) renders and publishes the artifacts;
-    the extra fresh-connection passes give the reuseport hash enough
-    rolls that each worker has very likely loaded every page from the
-    store.  Stragglers that stay cold merely pay a cheap disk hit
-    during the measured sweep — honest, and negligible at sweep sizes.
+    Each worker is primed on a connection :func:`loadgen.pin` landed on
+    it, so every worker has loaded every page before the first sweep.
     """
-    for _ in range(2 * workers + 2):
-        for page in pages:
-            status, _, payload = _one_shot(
-                port, "GET", f"/site/{name}/{page}")
-            assert status == 200, (page, status, payload[:120])
+    reply = httpload.fetch(server, "PUT", f"/models/{name}", body=xml)
+    assert reply.status in (200, 201), reply.body[:200]
+    for worker in [None] if workers is None else range(workers):
+        httpload.prime(server, paths, worker)
 
 
-def sweep(port: int, name: str, pages: list[str], *, clients: int,
-          requests_per_client: int) -> dict:
-    """Concurrent warm sweep over keep-alive connections.
-
-    One connection per client: under reuseport each connection pins to
-    one worker, so N clients spread across the fleet roughly evenly —
-    the same way real keep-alive traffic would.
-    """
-    latencies: list[list[float]] = [[] for _ in range(clients)]
-    violations: list[str] = []
-    counts = {"ok": 0, "shed": 0}
-    lock = threading.Lock()
-    barrier = threading.Barrier(clients + 1)
-
-    def client(index: int) -> None:
-        connection = http.client.HTTPConnection(
-            "127.0.0.1", port, timeout=60)
-        try:
-            barrier.wait()
-            recorded = latencies[index]
-            for request_number in range(requests_per_client):
-                page = pages[(index + request_number) % len(pages)]
-                start = perf_counter()
-                status, headers, payload = _request(
-                    connection, "GET", f"/site/{name}/{page}")
-                recorded.append(perf_counter() - start)
-                with lock:
-                    if status == 200:
-                        if not payload:
-                            violations.append(f"empty 200 body for {page}")
-                        counts["ok"] += 1
-                    elif status == 503:
-                        counts["shed"] += 1
-                    else:
-                        violations.append(
-                            f"status {status} for {page}: {payload[:80]!r}")
-        except (OSError, http.client.HTTPException) as exc:
-            with lock:
-                violations.append(f"transport error: {exc!r}")
-        finally:
-            connection.close()
-
-    threads = [threading.Thread(target=client, args=(index,), daemon=True)
-               for index in range(clients)]
-    for thread in threads:
-        thread.start()
-    barrier.wait()
-    start = perf_counter()
-    for thread in threads:
-        thread.join()
-    elapsed = perf_counter() - start
-
-    merged = sorted(s for per_client in latencies for s in per_client)
-    total = len(merged)
-    return {
-        "clients": clients,
-        "requests": total,
-        "elapsed_s": elapsed,
-        "throughput_rps": total / elapsed if elapsed else 0.0,
-        "p50_ms": 1000 * merged[total // 2],
-        "p99_ms": 1000 * merged[min(total - 1, (total * 99) // 100)],
-        "ok": counts["ok"],
-        "shed": counts["shed"],
-        "violations": violations,
-    }
-
-
-def _measure_fleet(store_dir: str, workers: int, name: str, xml: bytes,
-                   pages: list[str], *, clients: int,
-                   requests_per_client: int, repeats: int) -> dict:
-    """Boot an N-worker fleet, prime it, sweep it *repeats* times.
-
-    The best sweep is what the gates compare (forking noise and lazy
-    page warming perturb individual sweeps; the best of a few is the
-    stable capacity figure), but every sweep is recorded.
-    """
-    with MultiWorkerServer(store_dir, workers=workers,
-                           quiet=True) as server:
-        status, _, payload = _one_shot(
-            server.port, "PUT", f"/models/{name}", body=xml)
-        assert status in (200, 201), payload[:200]
-        _prime(server.port, name, pages, workers)
-        sweeps = [sweep(server.port, name, pages, clients=clients,
-                        requests_per_client=requests_per_client)
-                  for _ in range(repeats)]
-    best = max(sweeps, key=lambda s: s["throughput_rps"])
-    return {"workers": workers, "best": best, "sweeps": sweeps,
-            "violations": [v for s in sweeps for v in s["violations"]]}
-
-
-def _measure_baseline(name: str, xml: bytes, pages: list[str], *,
-                      clients: int, requests_per_client: int,
-                      repeats: int) -> dict:
-    """The PR 4 in-process server, warm — the no-regression anchor."""
-    with ModelServer() as server:
-        status, _, payload = _one_shot(
-            server.port, "PUT", f"/models/{name}", body=xml)
-        assert status in (200, 201), payload[:200]
-        _prime(server.port, name, pages, workers=1)
-        sweeps = [sweep(server.port, name, pages, clients=clients,
-                        requests_per_client=requests_per_client)
-                  for _ in range(repeats)]
-    best = max(sweeps, key=lambda s: s["throughput_rps"])
-    return {"best": best, "sweeps": sweeps,
-            "violations": [v for s in sweeps for v in s["violations"]]}
-
-
-def run(size: str, *, clients: int, requests_per_client: int,
-        repeats: int, store_root: str) -> dict:
-    model = synthetic_model(**SIZES[size])
-    xml = model_to_xml(model).encode("utf-8")
+def run(size: str, *, rounds: int, per_client: int,
+        store_root: str) -> dict:
+    xml = model_to_xml(synthetic_model(**httpload.SIZES[size])).encode()
     name = f"bench-{size}"
     pages = _pages_for(xml, name)
+    paths = [f"/site/{name}/{page}" for page in pages]
 
-    baseline = _measure_baseline(
-        name, xml, pages, clients=clients,
-        requests_per_client=requests_per_client, repeats=repeats)
-    print(f"baseline (in-process): "
-          f"{baseline['best']['throughput_rps']:.0f} req/s "
-          f"(p50 {baseline['best']['p50_ms']:.2f} ms)")
+    with contextlib.ExitStack() as stack:
+        # Fleets fork before the in-process server starts its threads.
+        servers = {str(workers): stack.enter_context(MultiWorkerServer(
+            os.path.join(store_root, f"w{workers}"), workers=workers,
+            quiet=True)) for workers in WORKER_COUNTS}
+        servers["inprocess"] = stack.enter_context(ModelServer())
+        widths = {key: None if key == "inprocess" else int(key)
+                  for key in servers}
+        for key, server in servers.items():
+            _boot(server, name, xml, paths, widths[key])
+        series = httpload.measure(
+            {key: functools.partial(httpload.sweep, server, paths,
+                                    per_client, workers=widths[key],
+                                    accept=ACCEPT)
+             for key, server in servers.items()}, rounds)
 
-    fleets: dict[str, dict] = {}
-    for workers in WORKER_COUNTS:
-        result = _measure_fleet(
-            os.path.join(store_root, f"w{workers}"), workers, name, xml,
-            pages, clients=clients,
-            requests_per_client=requests_per_client, repeats=repeats)
-        fleets[str(workers)] = result
-        print(f"workers={workers}: "
-              f"{result['best']['throughput_rps']:.0f} req/s "
-              f"(p50 {result['best']['p50_ms']:.2f} ms, "
-              f"p99 {result['best']['p99_ms']:.2f} ms)")
-
-    single = fleets["1"]["best"]["throughput_rps"]
-    quad = fleets["4"]["best"]["throughput_rps"]
-    # The latency gate compares each configuration's best (minimum)
-    # p50 across its sweeps — the straggler-robust capacity signal.
-    base_p50 = min(s["p50_ms"] for s in baseline["sweeps"])
-    single_p50 = min(s["p50_ms"] for s in fleets["1"]["sweeps"])
     cores = _usable_cores()
     return {
         "size": size,
-        "model": dict(SIZES[size]),
+        "model": dict(httpload.SIZES[size]),
         "pages": len(pages),
+        "clients": httpload.CLIENTS,
         "cpu_count": os.cpu_count(),
         "usable_cores": cores,
-        "baseline_inprocess": baseline,
-        "fleets": fleets,
-        "single_worker_throughput_ratio":
-            single / baseline["best"]["throughput_rps"],
-        "single_worker_p50_ratio": single_p50 / base_p50,
-        "four_worker_speedup": quad / single if single else 0.0,
+        "baseline_inprocess": httpload.summarize(series["inprocess"]),
+        "fleets": {str(workers): httpload.summarize(series[str(workers)])
+                   for workers in WORKER_COUNTS},
+        # Medians of the per-round ratios.
+        "single_worker_throughput_ratio": httpload.paired(
+            series["1"], series["inprocess"], "rps"),
+        "single_worker_p50_ratio": httpload.paired(
+            series["1"], series["inprocess"], "p50_ms"),
+        "two_worker_speedup": httpload.paired(series["2"], series["1"],
+                                              "rps"),
+        "four_worker_speedup": httpload.paired(series["4"], series["1"],
+                                               "rps"),
         "scaling_gate_applicable": cores >= CORES_FOR_SCALING_GATE,
     }
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="pre-fork multi-core scaling benchmark (M10)")
-    parser.add_argument("--smoke", action="store_true",
-                        help="medium model, fewer requests, no JSON")
-    parser.add_argument("--check", action="store_true",
-                        help="exit 1 on violations or missed gates")
-    parser.add_argument("--label", default="after")
-    parser.add_argument("--json", default=os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), "..",
-        "BENCH_m10_multicore.json"))
-    parser.add_argument("--clients", type=int, default=8)
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="sweeps per configuration; gates use the "
-                             "best (default 3)")
-    args = parser.parse_args(argv)
-
-    import tempfile
+    args = httpload.parser("pre-fork multi-core scaling benchmark (M10)",
+                           "BENCH_m10_multicore.json").parse_args(argv)
     with tempfile.TemporaryDirectory(
             prefix="goldcase-bench-m10-") as store_root:
         if args.smoke:
-            result = run("medium", clients=args.clients,
-                         requests_per_client=25, repeats=2,
-                         store_root=store_root)
+            result = run("medium", rounds=httpload.SMOKE_ROUNDS,
+                         per_client=25, store_root=store_root)
         else:
-            result = run("large", clients=args.clients,
-                         requests_per_client=50, repeats=args.repeats,
+            result = run("large", rounds=httpload.ROUNDS, per_client=50,
                          store_root=store_root)
 
-    ratio = result["single_worker_p50_ratio"]
-    speedup = result["four_worker_speedup"]
+    ratio = result["single_worker_p50_ratio"]["median"]
+    speedup = result["four_worker_speedup"]["median"]
     cores = result["usable_cores"]
+    print(f"in-process: {httpload.describe(result['baseline_inprocess'])}")
+    for workers, summary in result["fleets"].items():
+        print(f"workers={workers}:  {httpload.describe(summary)}")
     print(f"single-worker vs in-process: p50 {ratio:.2f}x "
           f"(ceiling {MAX_SINGLE_WORKER_P50_RATIO}x; throughput "
-          f"{result['single_worker_throughput_ratio']:.2f}x recorded, "
-          f"not gated — see module docstring)")
+          f"{result['single_worker_throughput_ratio']['median']:.2f}x "
+          f"recorded, not gated — see module docstring)")
+    print(f"2-worker speedup: "
+          f"{result['two_worker_speedup']['median']:.2f}x "
+          f"({cores} usable cores)")
     if result["scaling_gate_applicable"]:
         print(f"4-worker speedup: {speedup:.2f}x "
               f"(gate {MIN_FOUR_WORKER_SPEEDUP}x, {cores} usable cores)")
@@ -318,38 +177,19 @@ def main(argv=None) -> int:
               f"{CORES_FOR_SCALING_GATE}; reuseport sharding cannot "
               f"express parallelism the scheduler does not have)")
 
-    if not args.smoke:
-        payload = {"benchmark": "m10_multicore", "runs": {}}
-        if os.path.exists(args.json):
-            with open(args.json, encoding="utf-8") as handle:
-                payload = json.load(handle)
-        payload.setdefault("runs", {})[args.label] = result
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {os.path.normpath(args.json)}")
-
-    if args.check:
-        failures = []
-        for scenario, bundle in [("baseline", result["baseline_inprocess"]),
-                                 *[(f"workers={w}", result["fleets"][w])
-                                   for w in result["fleets"]]]:
-            for violation in bundle["violations"]:
-                failures.append(f"{scenario}: {violation}")
-        if ratio > MAX_SINGLE_WORKER_P50_RATIO:
-            failures.append(
-                f"single worker p50 at {ratio:.2f}x in-process "
-                f"(> {MAX_SINGLE_WORKER_P50_RATIO}x)")
-        if result["scaling_gate_applicable"] and \
-                speedup < MIN_FOUR_WORKER_SPEEDUP:
-            failures.append(
-                f"4-worker speedup {speedup:.2f}x "
-                f"(< {MIN_FOUR_WORKER_SPEEDUP}x on {cores} cores)")
-        if failures:
-            print("CHECK FAILED: " + "; ".join(failures[:10]))
-            return 1
-        print("CHECK OK")
-    return 0
+    failures = httpload.failed("baseline", result["baseline_inprocess"])
+    for workers, summary in result["fleets"].items():
+        failures += httpload.failed(f"workers={workers}", summary)
+    if ratio > MAX_SINGLE_WORKER_P50_RATIO:
+        failures.append(
+            f"single worker p50 at {ratio:.2f}x in-process "
+            f"(> {MAX_SINGLE_WORKER_P50_RATIO}x)")
+    if result["scaling_gate_applicable"] and \
+            speedup < MIN_FOUR_WORKER_SPEEDUP:
+        failures.append(
+            f"4-worker speedup {speedup:.2f}x "
+            f"(< {MIN_FOUR_WORKER_SPEEDUP}x on {cores} cores)")
+    return httpload.finish(args, "m10_multicore", result, failures)
 
 
 if __name__ == "__main__":

@@ -28,32 +28,22 @@ the medium model, JSON not written, threshold still enforced.
 from __future__ import annotations
 
 import argparse
-import json
 import os
-import statistics
-import sys
 from time import perf_counter
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
-
+import httpload
+from loadgen import median_iqr
 from repro.mdm import synthetic_model
 from repro.obs import RECORDER, build_trace
 from repro.web import publish_multi_page
-
-#: Same size ladder as bench_p1_engine / conftest.py.
-SIZES = {
-    "medium": dict(facts=5, dimensions=10, levels_per_dimension=4,
-                   measures_per_fact=6),
-    "large": dict(facts=20, dimensions=25, levels_per_dimension=5,
-                  measures_per_fact=8),
-}
 
 #: The acceptance bound on disabled-mode overhead.
 MAX_DISABLED_OVERHEAD = 0.02
 
 
-def _median_publish(model, repeats: int, *, enabled: bool) -> float:
+def _median_publish(model, repeats: int, *,
+                    enabled: bool) -> tuple[float, float]:
+    """Median and IQR in seconds of *repeats* publishes."""
     samples = []
     for _ in range(repeats):
         if enabled:
@@ -64,7 +54,7 @@ def _median_publish(model, repeats: int, *, enabled: bool) -> float:
         publish_multi_page(model)
         samples.append(perf_counter() - start)
     RECORDER.disable()
-    return statistics.median(samples)
+    return median_iqr(samples)
 
 
 def guarded_event_count(model) -> int:
@@ -107,11 +97,12 @@ def flag_check_cost(iterations: int = 1_000_000) -> float:
 def run_suite(smoke: bool) -> dict:
     repeats = 3 if smoke else 9
     size = "medium" if smoke else "large"
-    model = synthetic_model(**SIZES[size])
+    model = synthetic_model(**httpload.SIZES[size])
     publish_multi_page(model)  # warm compile/transformer caches
 
-    disabled_s = _median_publish(model, repeats, enabled=False)
-    enabled_s = _median_publish(model, repeats, enabled=True)
+    disabled_s, disabled_iqr = _median_publish(model, repeats,
+                                               enabled=False)
+    enabled_s, enabled_iqr = _median_publish(model, repeats, enabled=True)
     events = guarded_event_count(model)
     per_check_s = flag_check_cost()
     estimated_disabled_overhead = events * per_check_s / disabled_s
@@ -121,7 +112,9 @@ def run_suite(smoke: bool) -> dict:
         "model": size,
         "repeats": repeats,
         "publish_disabled_median_s": disabled_s,
+        "publish_disabled_iqr_s": disabled_iqr,
         "publish_enabled_median_s": enabled_s,
+        "publish_enabled_iqr_s": enabled_iqr,
         "enabled_overhead_fraction": round(enabled_overhead, 4),
         "guarded_events_per_publish": events,
         "flag_check_cost_ns": round(per_check_s * 1e9, 2),
@@ -150,8 +143,7 @@ def main(argv=None) -> int:
                         help="run label recorded in the JSON")
     parser.add_argument(
         "--output",
-        default=os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                             "..", "BENCH_o3_obs.json"),
+        default=os.path.join(httpload.ROOT, "BENCH_o3_obs.json"),
         help="JSON file to merge results into")
     args = parser.parse_args(argv)
 
@@ -159,17 +151,7 @@ def main(argv=None) -> int:
     suite = run_suite(args.smoke)
 
     if not args.smoke:
-        payload = {}
-        if os.path.exists(args.output):
-            with open(args.output, encoding="utf-8") as handle:
-                payload = json.load(handle)
-        payload.setdefault("benchmark", "o3_obs")
-        payload.setdefault("runs", {})
-        payload["runs"][args.label] = suite
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.output}")
+        httpload.write_bench(args.output, "o3_obs", args.label, suite)
 
     if args.check and suite["estimated_disabled_overhead_fraction"] > \
             MAX_DISABLED_OVERHEAD:

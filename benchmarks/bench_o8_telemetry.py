@@ -12,9 +12,9 @@ number.  This benchmark measures a warm page sweep against a live
 * ``telemetry_logged`` — ``--access-log`` to a null sink on top, the
   worst configuration an operator can turn on.
 
-It also scrapes ``/metrics`` and ``/dashboard`` once under load and
-reports their render latency — the snapshot cost the rolling design
-keeps off the request path.
+It also scrapes ``/metrics`` and ``/dashboard`` once after the rounds,
+while the counters are warm, and reports their render latency — the
+snapshot cost the rolling design keeps off the request path.
 
 Results merge into ``BENCH_o8_telemetry.json`` under ``--label``::
 
@@ -26,15 +26,16 @@ throughput-ratio criteria are asserted on full runs.
 
 Measurement notes, learned the hard way on a one-core box:
 
-* Sweeps pre-establish their connections before the start barrier —
-  simultaneous lazy connects overflow the listen backlog, and a single
-  dropped SYN retries after ~1s, an artifact that once made a
-  200-request sweep read 17x slower than it was.
+* Sweeps (:func:`httpload.sweep`) open their connections before the
+  start barrier — simultaneous lazy connects once overflowed the listen
+  backlog, and a single dropped SYN retries after ~1s, an artifact that
+  once made a 200-request sweep read 17x slower than it was.
 * Single sweeps jitter by tens of percent, and the first sweep after
-  any pause runs slow.  Modes therefore interleave round-robin with
-  the order flipped each round, and the reported ratio is the *median
-  of per-round paired ratios*, which cancels drift a grand-total
-  comparison would absorb.
+  any pause runs slow.  Each mode therefore gets an unmeasured warm-up
+  sweep, modes interleave round-robin with the order flipped each
+  round (:func:`httpload.measure`), and every reported ratio, the p50
+  one included, is the *median of per-round paired ratios*, which
+  cancels drift a grand-total comparison would absorb.
 * Even paired, wall-clock ratios on a shared one-core container carry
   a per-pair spread of ~8% (hypervisor steal hits the two sweeps of a
   pair unequally), which cannot resolve a few-percent effect.  Each
@@ -54,28 +55,13 @@ Measurement notes, learned the hard way on a one-core box:
 
 from __future__ import annotations
 
-import argparse
-import http.client
-import json
-import os
+import functools
 import sys
-import threading
-from time import perf_counter, process_time
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
-
+import httpload
 from repro.mdm import model_to_xml, synthetic_model
 from repro.server import ModelServer
 from repro.testkit.chaos import parse_metrics
-
-#: Same size ladder as bench_s4_server / bench_r5_faults.
-SIZES = {
-    "medium": dict(facts=5, dimensions=10, levels_per_dimension=4,
-                   measures_per_fact=6),
-    "large": dict(facts=20, dimensions=25, levels_per_dimension=5,
-                  measures_per_fact=8),
-}
 
 #: Smoke gate: telemetry may at most 1.5x the warm p50.  Generous by
 #: design — at smoke sizes p50 is a handful of hundred microseconds and
@@ -96,146 +82,30 @@ MAX_ON_P50_RATIO = 1.5
 MIN_THROUGHPUT_RATIO = 0.90
 
 
-def _connect(server) -> http.client.HTTPConnection:
-    return http.client.HTTPConnection(server.host, server.port, timeout=60)
-
-
-def _request(connection, method, path, *, body=None):
-    connection.request(method, path, body=body)
-    response = connection.getresponse()
-    payload = response.read()
-    return response.status, dict(response.getheaders()), payload
-
-
-def sweep(server, name, pages, *, clients, requests_per_client):
-    """Concurrent warm keep-alive sweep; every response must be 200.
-
-    Same client and shape as bench_r5's warm sweep on purpose: the
-    acceptance criterion compares against the R5 clean baseline, so the
-    load generator must charge both modes the same way.
-    """
-    latencies: list[list[float]] = [[] for _ in range(clients)]
-    violations: list[str] = []
-    lock = threading.Lock()
-    barrier = threading.Barrier(clients + 1)
-
-    def client(index):
-        connection = _connect(server)
-        try:
-            # Establish the TCP connection before the barrier: eight
-            # simultaneous lazy connects overflow the listen backlog and
-            # the dropped SYN retries after ~1s, which would swamp the
-            # whole sweep's elapsed time with one kernel timeout.
-            connection.connect()
-            barrier.wait()
-            recorded = latencies[index]
-            for request_number in range(requests_per_client):
-                page = pages[(index + request_number) % len(pages)]
-                start = perf_counter()
-                status, _, payload = _request(
-                    connection, "GET", f"/site/{name}/{page}")
-                recorded.append(perf_counter() - start)
-                if status != 200 or not payload:
-                    with lock:
-                        violations.append(
-                            f"status {status} for {page}")
-        except (OSError, http.client.HTTPException) as exc:
-            with lock:
-                violations.append(f"transport error: {exc!r}")
-        finally:
-            connection.close()
-
-    threads = [threading.Thread(target=client, args=(index,), daemon=True)
-               for index in range(clients)]
-    for thread in threads:
-        thread.start()
-    barrier.wait()
-    start = perf_counter()
-    cpu_start = process_time()
-    for thread in threads:
-        thread.join()
-    elapsed = perf_counter() - start
-    # Whole-process CPU, clients included: on a saturated single core
-    # throughput is 1/CPU-per-request, and unlike wall time this is
-    # immune to hypervisor steal (see the module docstring).
-    cpu = process_time() - cpu_start
-
-    merged = sorted(s for per_client in latencies for s in per_client)
-    total = len(merged)
+def _snapshot_costs(server) -> dict:
+    """One /metrics + /dashboard render: latency and sanity."""
+    metrics = httpload.fetch(server, "GET", "/metrics")
+    dashboard = httpload.fetch(server, "GET", "/dashboard")
     return {
-        "clients": clients,
-        "requests": total,
-        "elapsed_s": elapsed,
-        "throughput_rps": total / elapsed,
-        "cpu_us_per_request": 1e6 * cpu / total if total else 0.0,
-        "p50_ms": 1000 * merged[total // 2],
-        "p99_ms": 1000 * merged[min(total - 1, (total * 99) // 100)],
-        "violations": violations,
+        "metrics_ms": 1000 * (metrics.end - metrics.start),
+        "metrics_ok": metrics.status == 200,
+        "metrics_series": len(parse_metrics(metrics.body.decode("utf-8"))),
+        "dashboard_ms": 1000 * (dashboard.end - dashboard.start),
+        "dashboard_ok": (dashboard.status == 200
+                         and b"goldcase ops" in dashboard.body),
     }
 
 
-def _snapshot_costs(server) -> dict:
-    """One /metrics + /dashboard render: latency and sanity."""
-    connection = _connect(server)
-    costs = {}
-    try:
-        start = perf_counter()
-        status, _, payload = _request(connection, "GET", "/metrics")
-        costs["metrics_ms"] = 1000 * (perf_counter() - start)
-        costs["metrics_ok"] = status == 200
-        costs["metrics_series"] = len(parse_metrics(payload.decode("utf-8")))
-        start = perf_counter()
-        status, _, payload = _request(connection, "GET", "/dashboard")
-        costs["dashboard_ms"] = 1000 * (perf_counter() - start)
-        costs["dashboard_ok"] = (status == 200
-                                 and b"goldcase ops" in payload)
-    finally:
-        connection.close()
-    return costs
-
-
-def _median_run(runs):
-    """The round with the median throughput, carrying all rounds' rates.
-
-    A single 400-request sweep's wall-clock jitters by tens of percent
-    (scheduler noise, CPU frequency drift); interleaving off/on/logged
-    rounds and comparing medians makes the ratios stable enough to gate.
-    """
-    ordered = sorted(runs, key=lambda run: run["throughput_rps"])
-    chosen = dict(ordered[len(ordered) // 2])
-    chosen["throughput_rps_rounds"] = [
-        round(run["throughput_rps"], 1) for run in runs]
-    chosen["cpu_us_per_request_rounds"] = [
-        round(run["cpu_us_per_request"], 1) for run in runs]
-    chosen["violations"] = [violation for run in runs
-                            for violation in run["violations"]]
-    return chosen
-
-
-def run(size, *, clients, requests_per_client, rounds=5):
-    model = synthetic_model(**SIZES[size])
-    xml = model_to_xml(model).encode("utf-8")
+def run(size, *, per_client, rounds):
+    xml = model_to_xml(synthetic_model(**httpload.SIZES[size])).encode()
     name = f"bench-{size}"
     with ModelServer() as server:
-        connection = _connect(server)
-        try:
-            status, _, payload = _request(
-                connection, "PUT", f"/models/{name}", body=xml)
-            assert status in (200, 201), payload
-            status, _, _ = _request(
-                connection, "GET", f"/site/{name}/index.html")
-            assert status == 200
-        finally:
-            connection.close()
+        reply = httpload.fetch(server, "PUT", f"/models/{name}", body=xml)
+        assert reply.status in (200, 201), reply.body
+        httpload.prime(server, [f"/site/{name}/index.html"])
         pages = sorted(server.app.cache.peek(name, "multi").pages)
-        connection = _connect(server)
-        try:
-            for page in pages:  # prime: the sweeps measure warm serving
-                status, _, payload = _request(
-                    connection, "GET", f"/site/{name}/{page}")
-                assert status == 200, (page, payload)
-        finally:
-            connection.close()
+        paths = [f"/site/{name}/{page}" for page in pages]
+        httpload.prime(server, paths)  # the sweeps measure warm serving
 
         telemetry = server.app.telemetry
         sink_lines = [0]
@@ -247,156 +117,95 @@ def run(size, *, clients, requests_per_client, rounds=5):
             telemetry.set_enabled(mode != "off")
             telemetry.access_log = null_sink if mode == "logged" else None
             try:
-                return sweep(server, name, pages, clients=clients,
-                             requests_per_client=requests_per_client)
+                return httpload.sweep(server, paths, per_client)
             finally:
                 telemetry.access_log = None
 
-        rounds_by_mode = {"off": [], "on": [], "logged": []}
-        snapshot = None
-        for round_number in range(rounds):
-            # Interleaved rounds so drift (frequency scaling, noisy
-            # neighbours) hits every mode, with the order flipped each
-            # round because the first sweep after a pause reliably runs
-            # slower than the rest — alternation cancels that bias.
-            order = ("off", "on", "logged") if round_number % 2 == 0 \
-                else ("logged", "on", "off")
-            for mode in order:
-                rounds_by_mode[mode].append(one_sweep(mode))
-            if snapshot is None:  # scrape once, while counters are warm
-                telemetry.set_enabled(True)
-                snapshot = _snapshot_costs(server)
-        off_rounds = rounds_by_mode["off"]
-        on_rounds = rounds_by_mode["on"]
-        logged_rounds = rounds_by_mode["logged"]
+        series = httpload.measure(
+            {mode: functools.partial(one_sweep, mode)
+             for mode in ("off", "on", "logged")}, rounds)
+        telemetry.set_enabled(True)
+        snapshot = _snapshot_costs(server)
 
-    off = _median_run(off_rounds)
-    on = _median_run(on_rounds)
-    logged = _median_run(logged_rounds)
-    logged["access_log_lines"] = sink_lines[0]
-    logged["expected_log_lines"] = sum(
-        run["requests"] for run in logged_rounds)
-
-    def paired_ratio(mode_rounds):
-        # Ratio per adjacent off/<mode> pair, then the median: the two
-        # sweeps of a pair run back to back, so machine drift over the
-        # minutes-long run cancels instead of biasing one mode.
-        ratios = sorted(mode["throughput_rps"] / base["throughput_rps"]
-                        for base, mode in zip(off_rounds, mode_rounds))
-        return ratios[len(ratios) // 2]
-
-    def paired_cpu_ratio(mode_rounds):
-        # Same pairing in CPU terms: off-CPU / mode-CPU per request is
-        # the CPU-throughput ratio, steal-immune where wall time is not.
-        ratios = sorted(base["cpu_us_per_request"] / mode["cpu_us_per_request"]
-                        for base, mode in zip(off_rounds, mode_rounds))
-        return ratios[len(ratios) // 2]
-
-    return {
+    result = {
         "size": size,
-        "model": dict(SIZES[size]),
+        "model": dict(httpload.SIZES[size]),
         "pages": len(pages),
-        "rounds": rounds,
-        "telemetry_off": off,
-        "telemetry_on": on,
-        "telemetry_logged": logged,
+        "clients": httpload.CLIENTS,
         "snapshot": snapshot,
-        "on_p50_ratio": on["p50_ms"] / off["p50_ms"],
-        "on_throughput_ratio": paired_ratio(on_rounds),
-        "logged_throughput_ratio": paired_ratio(logged_rounds),
-        "on_cpu_ratio": paired_cpu_ratio(on_rounds),
-        "logged_cpu_ratio": paired_cpu_ratio(logged_rounds),
     }
+    for mode, runs in series.items():
+        result[f"telemetry_{mode}"] = {
+            **httpload.summarize(runs),
+            "cpu_us_per_request": httpload.spread(
+                [one.cpu_us for one in runs.rounds])}
+    logged = series["logged"]
+    result["telemetry_logged"]["access_log_lines"] = sink_lines[0]
+    result["telemetry_logged"]["expected_log_lines"] = sum(
+        one.attempted for one in [logged.warmup, *logged.rounds])
+    # Per-round paired ratios: the sweeps of a round run back to back,
+    # so machine drift over the minutes-long run cancels instead of
+    # biasing one mode.
+    off = series["off"]
+    result["on_p50_ratio"] = httpload.paired(series["on"], off, "p50_ms")
+    for mode in ("on", "logged"):
+        result[f"{mode}_throughput_ratio"] = httpload.paired(
+            series[mode], off, "rps")
+        # off-CPU / mode-CPU per request is the CPU-throughput ratio,
+        # steal-immune where wall time is not.
+        result[f"{mode}_cpu_ratio"] = httpload.paired(
+            off, series[mode], "cpu_us")
+    return result
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="always-on telemetry overhead benchmark (O8)")
-    parser.add_argument("--smoke", action="store_true",
-                        help="medium model, fewer requests, no JSON")
-    parser.add_argument("--check", action="store_true",
-                        help="exit 1 on violations or excess overhead")
-    parser.add_argument("--label", default="after")
-    parser.add_argument("--json", default=os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), "..",
-        "BENCH_o8_telemetry.json"))
-    parser.add_argument("--clients", type=int, default=8)
-    args = parser.parse_args(argv)
-
+    args = httpload.parser("always-on telemetry overhead benchmark (O8)",
+                           "BENCH_o8_telemetry.json").parse_args(argv)
     if args.smoke:
-        result = run("medium", clients=args.clients,
-                     requests_per_client=25, rounds=5)
+        result = run("medium", per_client=25, rounds=5)
     else:
         # 100 requests/client: a ~0.2 s sweep amortises scheduler
         # hiccups that dominate shorter sweeps on a shared one-core
         # box; 15 rounds give the paired-ratio median enough samples
         # that one outlier pair cannot swing the gate.
-        result = run("large", clients=args.clients,
-                     requests_per_client=100, rounds=15)
+        result = run("large", per_client=100, rounds=15)
 
-    off, on = result["telemetry_off"], result["telemetry_on"]
     logged = result["telemetry_logged"]
     snapshot = result["snapshot"]
-    print(f"off:    {off['throughput_rps']:.0f} req/s "
-          f"(p50 {off['p50_ms']:.2f} ms, p99 {off['p99_ms']:.2f} ms, "
-          f"median of {result['rounds']} rounds)")
-    print(f"on:     {on['throughput_rps']:.0f} req/s "
-          f"(p50 {on['p50_ms']:.2f} ms, "
-          f"{result['on_throughput_ratio']:.3f}x off throughput, "
-          f"{result['on_cpu_ratio']:.3f}x off CPU-throughput, "
-          f"{result['on_p50_ratio']:.2f}x off p50)")
-    print(f"logged: {logged['throughput_rps']:.0f} req/s "
-          f"({result['logged_throughput_ratio']:.3f}x off, "
-          f"{result['logged_cpu_ratio']:.3f}x off CPU-throughput, "
-          f"{logged['access_log_lines']} JSON lines)")
+    on_p50 = result["on_p50_ratio"]["median"]
+    on_rps = result["on_throughput_ratio"]["median"]
+    on_cpu = result["on_cpu_ratio"]["median"]
+    print(f"off:    {httpload.describe(result['telemetry_off'])}")
+    print(f"on:     {httpload.describe(result['telemetry_on'])}")
+    print(f"        {on_rps:.3f}x off throughput, {on_cpu:.3f}x off "
+          f"CPU-throughput, {on_p50:.2f}x off p50 (median pairs)")
+    print(f"logged: {httpload.describe(logged)}")
+    print(f"        {result['logged_throughput_ratio']['median']:.3f}x off, "
+          f"{result['logged_cpu_ratio']['median']:.3f}x off "
+          f"CPU-throughput, {logged['access_log_lines']} JSON lines")
     print(f"scrape: /metrics {snapshot['metrics_ms']:.1f} ms "
           f"({snapshot['metrics_series']} series), "
           f"/dashboard {snapshot['dashboard_ms']:.1f} ms")
 
-    if not args.smoke:
-        payload = {"benchmark": "o8_telemetry", "runs": {}}
-        if os.path.exists(args.json):
-            with open(args.json, encoding="utf-8") as handle:
-                payload = json.load(handle)
-        payload.setdefault("runs", {})[args.label] = result
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {os.path.normpath(args.json)}")
-
-    if args.check:
-        failures = []
-        for scenario in ("telemetry_off", "telemetry_on",
-                         "telemetry_logged"):
-            for violation in result[scenario]["violations"]:
-                failures.append(f"{scenario}: {violation}")
-        if not snapshot["metrics_ok"] or not snapshot["dashboard_ok"]:
-            failures.append("telemetry endpoint failed under load")
-        if result["on_p50_ratio"] > MAX_ON_P50_RATIO:
-            failures.append(
-                f"telemetry-on p50 {result['on_p50_ratio']:.2f}x off "
-                f"(> {MAX_ON_P50_RATIO}x)")
-        if logged["access_log_lines"] < logged["expected_log_lines"]:
-            failures.append(
-                f"access log dropped lines: {logged['access_log_lines']} "
-                f"< {logged['expected_log_lines']}")
-        if not args.smoke and \
-                result["on_throughput_ratio"] < MIN_THROUGHPUT_RATIO:
-            failures.append(
-                f"telemetry-on throughput "
-                f"{result['on_throughput_ratio']:.3f}x off "
-                f"(< {MIN_THROUGHPUT_RATIO}x)")
-        if not args.smoke and \
-                result["on_cpu_ratio"] < MIN_THROUGHPUT_RATIO:
-            failures.append(
-                f"telemetry-on CPU-throughput "
-                f"{result['on_cpu_ratio']:.3f}x off "
-                f"(< {MIN_THROUGHPUT_RATIO}x)")
-        if failures:
-            print("CHECK FAILED: " + "; ".join(failures[:10]))
-            return 1
-        print("CHECK OK")
-    return 0
+    failures = []
+    for scenario in ("telemetry_off", "telemetry_on", "telemetry_logged"):
+        failures += httpload.failed(scenario, result[scenario])
+    if not snapshot["metrics_ok"] or not snapshot["dashboard_ok"]:
+        failures.append("telemetry endpoint failed under load")
+    if on_p50 > MAX_ON_P50_RATIO:
+        failures.append(f"telemetry-on p50 {on_p50:.2f}x off "
+                        f"(> {MAX_ON_P50_RATIO}x)")
+    if logged["access_log_lines"] < logged["expected_log_lines"]:
+        failures.append(
+            f"access log dropped lines: {logged['access_log_lines']} "
+            f"< {logged['expected_log_lines']}")
+    if not args.smoke and on_rps < MIN_THROUGHPUT_RATIO:
+        failures.append(f"telemetry-on throughput {on_rps:.3f}x off "
+                        f"(< {MIN_THROUGHPUT_RATIO}x)")
+    if not args.smoke and on_cpu < MIN_THROUGHPUT_RATIO:
+        failures.append(f"telemetry-on CPU-throughput {on_cpu:.3f}x off "
+                        f"(< {MIN_THROUGHPUT_RATIO}x)")
+    return httpload.finish(args, "o8_telemetry", result, failures)
 
 
 if __name__ == "__main__":

@@ -29,12 +29,9 @@ import argparse
 import json
 import os
 import statistics
-import sys
 import time
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
-
+import httpload
 from repro.mdm import model_to_document, sales_model, synthetic_model
 from repro.web import publish_multi_page, publish_single_page
 from repro.web.stylesheets import MULTI_PAGE_XSL, stylesheet_resolver
@@ -42,14 +39,12 @@ from repro.xml.dom import sort_document_order
 from repro.xpath import evaluate
 from repro.xslt import Transformer, compile_stylesheet
 
-#: Same size ladder as benchmarks/conftest.py (bench S1).
+#: The shared ladder with a small rung below it (bench S1's sizes).
 SIZES = {
     "small": dict(facts=1, dimensions=3, levels_per_dimension=2,
                   measures_per_fact=4),
-    "medium": dict(facts=5, dimensions=10, levels_per_dimension=4,
-                   measures_per_fact=6),
-    "large": dict(facts=20, dimensions=25, levels_per_dimension=5,
-                  measures_per_fact=8),
+    "medium": httpload.SIZES["medium"],
+    "large": httpload.SIZES["large"],
 }
 
 #: Location paths that stress different axes and step shapes.
@@ -136,6 +131,32 @@ def run_suite(smoke: bool) -> dict:
     return suite
 
 
+def _speedups(payload: dict) -> None:
+    """Record before/after speedups once both runs are present."""
+    before = payload["runs"].get("before")
+    after = payload["runs"].get("after")
+    if not (before and after):
+        return
+    speedups = {}
+    for name, entry in after["models"].items():
+        base = before["models"].get(name)
+        if not base:
+            continue
+        speedups[name] = {
+            "multi_page_publish": round(
+                base["publish"]["multi_page"]["best_s"]
+                / entry["publish"]["multi_page"]["best_s"], 2),
+            "sort": round(base["sort"]["best_s"]
+                          / entry["sort"]["best_s"], 2),
+            "xpath": round(base["xpath"]["best_s"]
+                           / entry["xpath"]["best_s"], 2),
+            "dispatch": round(base["dispatch"]["best_s"]
+                              / entry["dispatch"]["best_s"], 2),
+        }
+    payload["speedup_before_over_after"] = speedups
+    print("speedups (before/after):", json.dumps(speedups, indent=2))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
@@ -144,8 +165,7 @@ def main(argv=None) -> int:
                         help="run label recorded in the JSON (before/after)")
     parser.add_argument(
         "--output",
-        default=os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                             "..", "BENCH_p1_engine.json"),
+        default=os.path.join(httpload.ROOT, "BENCH_p1_engine.json"),
         help="JSON file to merge results into")
     args = parser.parse_args(argv)
 
@@ -155,39 +175,8 @@ def main(argv=None) -> int:
         print("smoke run ok (JSON not written)")
         return 0
 
-    payload = {}
-    if os.path.exists(args.output):
-        with open(args.output, encoding="utf-8") as handle:
-            payload = json.load(handle)
-    payload.setdefault("benchmark", "p1_engine")
-    payload.setdefault("runs", {})
-    payload["runs"][args.label] = suite
-    before = payload["runs"].get("before")
-    after = payload["runs"].get("after")
-    if before and after:
-        speedups = {}
-        for name, entry in after["models"].items():
-            base = before["models"].get(name)
-            if not base:
-                continue
-            speedups[name] = {
-                "multi_page_publish": round(
-                    base["publish"]["multi_page"]["best_s"]
-                    / entry["publish"]["multi_page"]["best_s"], 2),
-                "sort": round(base["sort"]["best_s"]
-                              / entry["sort"]["best_s"], 2),
-                "xpath": round(base["xpath"]["best_s"]
-                               / entry["xpath"]["best_s"], 2),
-                "dispatch": round(base["dispatch"]["best_s"]
-                                  / entry["dispatch"]["best_s"], 2),
-            }
-        payload["speedup_before_over_after"] = speedups
-        print("speedups (before/after):",
-              json.dumps(speedups, indent=2))
-    with open(args.output, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"wrote {args.output}")
+    httpload.write_bench(args.output, "p1_engine", args.label, suite,
+                         derive=_speedups)
     return 0
 
 

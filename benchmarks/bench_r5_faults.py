@@ -8,7 +8,9 @@ Three questions from ISSUE 5, answered against a live
   sweep with the registry off (the shipped default — the number to
   compare against ``BENCH_s4_server.json``); ``armed_noop`` re-measures
   with a plan active for a point the hot path never hits, forcing every
-  guard through the full registry lookup — the worst-case tax.
+  guard through the full registry lookup — the worst-case tax.  The
+  two alternate round by round and the gate reads the median of the
+  per-round p50 ratios.
 * **1% rebuild failures** — a background invalidator forces rebuilds
   while ``cache.rebuild=raise:0.01`` is active; throughput and p99 are
   recorded, and every response must be a 200 (current or explicitly
@@ -26,29 +28,14 @@ Results merge into ``BENCH_r5_faults.json`` under ``--label``::
 
 from __future__ import annotations
 
-import argparse
-import http.client
-import json
-import os
-import statistics
+import contextlib
 import sys
 import threading
-from time import perf_counter, sleep
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
-
+import httpload
 from repro.faults import FAULTS, FaultPlan
 from repro.mdm import model_to_xml, synthetic_model
 from repro.server import ModelServer
-
-#: Same size ladder as bench_s4_server.
-SIZES = {
-    "medium": dict(facts=5, dimensions=10, levels_per_dimension=4,
-                   measures_per_fact=6),
-    "large": dict(facts=20, dimensions=25, levels_per_dimension=5,
-                  measures_per_fact=8),
-}
 
 #: Acceptance: arming the registry (without any fault firing on the hot
 #: path) may at most double the warm median latency.  The gate uses p50
@@ -60,26 +47,12 @@ SIZES = {
 #: checked against ``clean`` vs the S4 baseline in EXPERIMENTS.md.
 MAX_ARMED_P50_RATIO = 2.0
 
+#: Seconds between the background invalidator's re-uploads.
+INVALIDATE_EVERY_S = 0.2
 
-def _connect(server) -> http.client.HTTPConnection:
-    return http.client.HTTPConnection(server.host, server.port, timeout=60)
-
-
-def _request(connection, method, path, *, body=None):
-    connection.request(method, path, body=body)
-    response = connection.getresponse()
-    payload = response.read()
-    return response.status, dict(response.getheaders()), payload
-
-
-def _upload(server, name, xml):
-    connection = _connect(server)
-    try:
-        status, _, payload = _request(
-            connection, "PUT", f"/models/{name}", body=xml)
-        assert status in (200, 201), payload
-    finally:
-        connection.close()
+#: Every reply a degraded server may give: fresh, explicitly stale, or
+#: shed with a Retry-After.
+ACCEPT = ("ok", "stale", "shed")
 
 
 def _stamped(xml: bytes, revision: int) -> bytes:
@@ -90,275 +63,149 @@ def _stamped(xml: bytes, revision: int) -> bytes:
     return changed
 
 
-def sweep(server, name, pages, *, clients, requests_per_client,
-          invalidate_xml=None, invalidate_every_s=0.2):
-    """Concurrent keep-alive sweep; checks every response's shape.
+def _upload(server, name: str, xml: bytes) -> None:
+    reply = httpload.fetch(server, "PUT", f"/models/{name}", body=xml)
+    assert reply.status in (200, 201), reply.body
 
-    With *invalidate_xml*, a background thread keeps re-uploading
-    changed bytes so the sweep forces rebuilds (which the active fault
-    plan may kill).  Returns latency/throughput stats plus per-status
-    counts and a list of invariant violations.
+
+@contextlib.contextmanager
+def _invalidating(server, name: str, xml: bytes):
+    """Re-upload changed bytes every INVALIDATE_EVERY_S while inside.
+
+    One invalidation precedes the block, so even a fast sweep sees a
+    rebuild.  Yields the list the re-uploads' ops are appended to.
     """
-    latencies: list[list[float]] = [[] for _ in range(clients)]
-    violations: list[str] = []
-    counts = {"ok": 0, "stale": 0, "shed": 0}
-    lock = threading.Lock()
-    barrier = threading.Barrier(clients + 1)
+    ops = []
     stop = threading.Event()
+    client = httpload.connect(server)
 
-    def client(index):
-        connection = _connect(server)
-        try:
-            barrier.wait()
-            recorded = latencies[index]
-            for request_number in range(requests_per_client):
-                page = pages[(index + request_number) % len(pages)]
-                start = perf_counter()
-                status, headers, payload = _request(
-                    connection, "GET", f"/site/{name}/{page}")
-                recorded.append(perf_counter() - start)
-                with lock:
-                    if status == 200:
-                        if not payload:
-                            violations.append(f"empty 200 body for {page}")
-                        if headers.get("X-Goldcase-Stale") == "true":
-                            counts["stale"] += 1
-                        else:
-                            counts["ok"] += 1
-                    elif status == 503:
-                        counts["shed"] += 1
-                        if "Retry-After" not in headers:
-                            violations.append("503 without Retry-After")
-                    else:
-                        violations.append(
-                            f"status {status} for {page}: {payload[:80]!r}")
-        except (OSError, http.client.HTTPException) as exc:
-            with lock:
-                violations.append(f"transport error: {exc!r}")
-        finally:
-            connection.close()
+    def put(revision: int) -> None:
+        ops.append(httpload.exchange(client, "PUT", f"/models/{name}",
+                                     body=_stamped(xml, revision)))
 
-    def invalidator():
-        connection = _connect(server)
+    def invalidator() -> None:
         revision = 5000
-        try:
-            while not stop.is_set():
-                revision += 1
-                status, _, payload = _request(
-                    connection, "PUT", f"/models/{name}",
-                    body=_stamped(invalidate_xml, revision))
-                if status not in (200, 201):
-                    with lock:
-                        violations.append(
-                            f"invalidating PUT -> {status}: {payload[:80]!r}")
-                counts_invalidations[0] += 1
-                sleep(invalidate_every_s)
-        finally:
-            connection.close()
+        while not stop.wait(INVALIDATE_EVERY_S):
+            revision += 1
+            put(revision)
 
-    counts_invalidations = [0]
-    threads = [threading.Thread(target=client, args=(index,), daemon=True)
-               for index in range(clients)]
-    for thread in threads:
-        thread.start()
-    background = None
-    if invalidate_xml is not None:
-        # One invalidation is guaranteed to precede the sweep — without
-        # it a fast sweep can finish before the background thread's
-        # first PUT and measure nothing but cache hits.
-        connection = _connect(server)
-        try:
-            status, _, _ = _request(
-                connection, "PUT", f"/models/{name}",
-                body=_stamped(invalidate_xml, revision=4999))
-            assert status in (200, 201)
-        finally:
-            connection.close()
-        counts_invalidations[0] += 1
-        background = threading.Thread(target=invalidator, daemon=True)
-        background.start()
-    barrier.wait()
-    start = perf_counter()
-    for thread in threads:
+    put(4999)
+    thread = threading.Thread(target=invalidator)
+    thread.start()
+    try:
+        yield ops
+    finally:
+        stop.set()
         thread.join()
-    elapsed = perf_counter() - start
-    stop.set()
-    if background is not None:
-        background.join(timeout=10)
-
-    merged = sorted(s for per_client in latencies for s in per_client)
-    total = len(merged)
-    return {
-        "clients": clients,
-        "requests": total,
-        "elapsed_s": elapsed,
-        "throughput_rps": total / elapsed,
-        "p50_ms": 1000 * merged[total // 2],
-        "p99_ms": 1000 * merged[min(total - 1, (total * 99) // 100)],
-        "ok": counts["ok"],
-        "stale": counts["stale"],
-        "shed": counts["shed"],
-        "invalidations": counts_invalidations[0],
-        "violations": violations,
-    }
+        client.close()
 
 
-def run(size, *, clients, requests_per_client):
-    model = synthetic_model(**SIZES[size])
-    xml = model_to_xml(model).encode("utf-8")
+def run(size: str, *, rounds: int, per_client: int) -> dict:
+    xml = model_to_xml(synthetic_model(**httpload.SIZES[size])).encode()
     name = f"bench-{size}"
     FAULTS.deactivate()
     with ModelServer() as server:
         _upload(server, name, xml)
-        connection = _connect(server)
-        try:
-            status, _, _ = _request(
-                connection, "GET", f"/site/{name}/index.html")
-            assert status == 200
-        finally:
-            connection.close()
+        httpload.prime(server, [f"/site/{name}/index.html"])
         pages = sorted(server.app.cache.peek(name, "multi").pages)
-        connection = _connect(server)
-        try:
-            for page in pages:  # prime: the sweeps measure warm serving
-                status, _, payload = _request(
-                    connection, "GET", f"/site/{name}/{page}")
-                assert status == 200, (page, payload)
-        finally:
-            connection.close()
+        paths = [f"/site/{name}/{page}" for page in pages]
+        httpload.prime(server, paths)  # the sweeps measure warm serving
 
-        clean = sweep(server, name, pages, clients=clients,
-                      requests_per_client=requests_per_client)
+        def sweep(per=per_client):
+            return httpload.sweep(server, paths, per, accept=ACCEPT)
 
-        # Registry armed, but for a point the warm path never reaches:
-        # every `if FAULTS.enabled` guard now pays the full hit() cost.
-        FAULTS.activate(FaultPlan(seed=5).add("bench.noop"))
-        try:
-            armed = sweep(server, name, pages, clients=clients,
-                          requests_per_client=requests_per_client)
-        finally:
-            FAULTS.deactivate()
+        def armed_sweep():
+            # Registry armed, but for a point the warm path never
+            # reaches: every `if FAULTS.enabled` guard pays hit()'s cost.
+            FAULTS.activate(FaultPlan(seed=5).add("bench.noop"))
+            try:
+                return sweep()
+            finally:
+                FAULTS.deactivate()
+
+        warm = httpload.measure({"clean": sweep, "armed_noop": armed_sweep},
+                                rounds)
 
         # 1 % of rebuilds die while an invalidator forces rebuilds.
         stats_before = server.app.cache.stats()
-        FAULTS.activate(
-            FaultPlan(seed=5).add("cache.rebuild", rate=0.01))
+        FAULTS.activate(FaultPlan(seed=5).add("cache.rebuild", rate=0.01))
         try:
-            faulty = sweep(server, name, pages, clients=clients,
-                           requests_per_client=requests_per_client,
-                           invalidate_xml=xml)
+            with _invalidating(server, name, xml) as invalidations:
+                faulty = httpload.summarize(
+                    httpload.measure({"faulty": sweep}, rounds)["faulty"])
         finally:
             FAULTS.deactivate()
         stats_after = server.app.cache.stats()
-        faulty["rebuilds"] = (stats_after["rebuilds"]
-                              - stats_before["rebuilds"])
-        faulty["build_failures"] = (stats_after["build_failures"]
-                                    - stats_before["build_failures"])
+        faulty["invalidations"] = httpload.tally(invalidations)
+        for stat in ("rebuilds", "build_failures"):
+            faulty[stat] = stats_after[stat] - stats_before[stat]
 
         # Every rebuild dies: the site must survive on explicit
         # staleness alone, then recover with one faults-off request.
         _upload(server, name, _stamped(xml, revision=9999))
         FAULTS.activate(FaultPlan(seed=5).add("cache.rebuild", rate=1.0))
         try:
-            degraded = sweep(server, name, pages, clients=clients,
-                             requests_per_client=max(
-                                 5, requests_per_client // 5))
+            degraded = httpload.summarize(httpload.measure(
+                {"degraded": lambda: sweep(max(5, per_client // 5))},
+                rounds)["degraded"])
         finally:
             FAULTS.deactivate()
-        connection = _connect(server)
-        try:
-            status, headers, payload = _request(
-                connection, "GET", f"/site/{name}/index.html")
-            degraded["recovered"] = (
-                status == 200 and bool(payload)
-                and headers.get("X-Goldcase-Stale") is None)
-        finally:
-            connection.close()
+        reply = httpload.fetch(server, "GET", f"/site/{name}/index.html")
+        degraded["recovered"] = httpload.outcome(reply) == "ok"
 
     return {
         "size": size,
-        "model": dict(SIZES[size]),
+        "model": dict(httpload.SIZES[size]),
         "pages": len(pages),
-        "clean": clean,
-        "armed_noop": armed,
+        "clients": httpload.CLIENTS,
+        "clean": httpload.summarize(warm["clean"]),
+        "armed_noop": httpload.summarize(warm["armed_noop"]),
         "faulty_1pct": faulty,
         "degraded_all_fail": degraded,
-        "armed_p50_ratio": armed["p50_ms"] / clean["p50_ms"],
+        # Median of the per-round ratios armed / clean.
+        "armed_p50_ratio": httpload.paired(
+            warm["armed_noop"], warm["clean"], "p50_ms"),
     }
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="fault-injection degradation benchmark (R5)")
-    parser.add_argument("--smoke", action="store_true",
-                        help="medium model, fewer requests, no JSON")
-    parser.add_argument("--check", action="store_true",
-                        help="exit 1 on invariant violations or excess "
-                             "guard overhead")
-    parser.add_argument("--label", default="after")
-    parser.add_argument("--json", default=os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), "..",
-        "BENCH_r5_faults.json"))
-    parser.add_argument("--clients", type=int, default=8)
-    args = parser.parse_args(argv)
-
+    args = httpload.parser("fault-injection degradation benchmark (R5)",
+                           "BENCH_r5_faults.json").parse_args(argv)
     if args.smoke:
-        result = run("medium", clients=args.clients,
-                     requests_per_client=25)
+        result = run("medium", rounds=httpload.SMOKE_ROUNDS, per_client=25)
     else:
-        result = run("large", clients=args.clients,
-                     requests_per_client=50)
+        result = run("large", rounds=httpload.ROUNDS, per_client=50)
 
-    clean, armed = result["clean"], result["armed_noop"]
     faulty, degraded = result["faulty_1pct"], result["degraded_all_fail"]
-    print(f"clean:     {clean['throughput_rps']:.0f} req/s "
-          f"(p50 {clean['p50_ms']:.2f} ms, p99 {clean['p99_ms']:.2f} ms)")
-    print(f"armed:     {armed['throughput_rps']:.0f} req/s "
-          f"(p50 {armed['p50_ms']:.2f} ms, "
-          f"{result['armed_p50_ratio']:.2f}x clean p50; guards pay the "
-          f"full registry lookup)")
-    print(f"1% faults: {faulty['throughput_rps']:.0f} req/s "
-          f"(p99 {faulty['p99_ms']:.2f} ms) — "
+    ratio = result["armed_p50_ratio"]["median"]
+    outcomes = faulty["outcomes"]
+    print(f"clean:     {httpload.describe(result['clean'])}")
+    print(f"armed:     {httpload.describe(result['armed_noop'])}; "
+          f"{ratio:.2f}x clean p50 (median pair)")
+    print(f"1% faults: {httpload.describe(faulty)} — "
           f"{faulty['rebuilds']} rebuilds, "
-          f"{faulty['build_failures']} failed, {faulty['stale']} stale, "
-          f"{faulty['shed']} shed, "
-          f"{faulty['invalidations']} invalidations")
-    print(f"all-fail:  {degraded['stale']} stale / "
-          f"{degraded['requests']} requests, "
+          f"{faulty['build_failures']} failed, "
+          f"{outcomes.get('stale', 0)} stale, {outcomes.get('shed', 0)} "
+          f"shed, {faulty['invalidations']['attempted']} invalidations")
+    print(f"all-fail:  {degraded['outcomes'].get('stale', 0)} stale / "
+          f"{degraded['attempted']} requests, "
           f"recovered={degraded['recovered']}")
 
-    if not args.smoke:
-        payload = {"benchmark": "r5_faults", "runs": {}}
-        if os.path.exists(args.json):
-            with open(args.json, encoding="utf-8") as handle:
-                payload = json.load(handle)
-        payload.setdefault("runs", {})[args.label] = result
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {os.path.normpath(args.json)}")
-
-    if args.check:
-        failures = []
-        for scenario in ("clean", "armed_noop", "faulty_1pct",
-                         "degraded_all_fail"):
-            for violation in result[scenario]["violations"]:
-                failures.append(f"{scenario}: {violation}")
-        if result["armed_p50_ratio"] > MAX_ARMED_P50_RATIO:
-            failures.append(
-                f"armed p50 {result['armed_p50_ratio']:.2f}x clean "
-                f"(> {MAX_ARMED_P50_RATIO}x)")
-        if faulty["rebuilds"] == 0:
-            failures.append("faulty sweep forced no rebuilds")
-        if degraded["stale"] == 0:
-            failures.append("all-fail sweep served no stale responses")
-        if not degraded["recovered"]:
-            failures.append("no fresh page after faults cleared")
-        if failures:
-            print("CHECK FAILED: " + "; ".join(failures[:10]))
-            return 1
-        print("CHECK OK")
-    return 0
+    failures = []
+    for scenario in ("clean", "armed_noop", "faulty_1pct",
+                     "degraded_all_fail"):
+        failures += httpload.failed(scenario, result[scenario])
+    failures += httpload.failed("invalidator", faulty["invalidations"])
+    if ratio > MAX_ARMED_P50_RATIO:
+        failures.append(f"armed p50 {ratio:.2f}x clean "
+                        f"(> {MAX_ARMED_P50_RATIO}x)")
+    if faulty["rebuilds"] == 0:
+        failures.append("faulty sweep forced no rebuilds")
+    if not degraded["outcomes"].get("stale"):
+        failures.append("all-fail sweep served no stale responses")
+    if not degraded["recovered"]:
+        failures.append("no fresh page after faults cleared")
+    return httpload.finish(args, "r5_faults", result, failures)
 
 
 if __name__ == "__main__":

@@ -4,307 +4,150 @@ A load generator against :class:`repro.server.ModelServer` on an
 ephemeral port, answering the acceptance questions:
 
 * **Cold publish rate** — the time for the first request after an
-  invalidation (XSLT transform + link check + serve), measured as the
-  median over several cache-dropping re-uploads; its reciprocal is the
+  invalidating re-upload with the publisher caches cleared (the
+  republish, an incremental one since I7, + link check + serve),
+  measured as the median over the rounds; its reciprocal is the
   single-request publish rate the cache must beat.
 * **Warm-cache throughput** — concurrent keep-alive clients sweeping
-  every page of the published site; reports requests/s and p50/p99
-  latency.  The acceptance gate (``--check``) requires warm throughput
-  ≥ 10× the cold publish rate.
+  the published site (:func:`httpload.sweep`); reports the median
+  requests/s and p50 over rounds and the pooled p99.  The acceptance
+  gate (``--check``) requires warm throughput ≥ 10× the cold publish
+  rate.
 * **Coalescing proof** — with the obs recorder on, a barrier-started
   burst of clients against a freshly invalidated model must record
   exactly one ``server.site.rebuild`` (the other clients coalesce on
   the per-model build lock).
 
-Results merge into ``BENCH_s4_server.json`` under ``--label``::
+``--check`` also fails on any failed request.  Results merge into
+``BENCH_s4_server.json`` under ``--label``::
 
     PYTHONPATH=src python benchmarks/bench_s4_server.py --label after
 
 ``--smoke --check`` is the CI ``server-smoke`` gate: the medium model,
-fewer repetitions, JSON not written, coalescing still enforced (the
-10× throughput gate stays on, it has orders of magnitude of headroom).
+fewer rounds, JSON not written, coalescing still enforced (the 10×
+throughput gate stays on, it has orders of magnitude of headroom).
 """
 
 from __future__ import annotations
 
-import argparse
-import http.client
-import json
-import os
-import statistics
 import sys
-import threading
-from time import perf_counter
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
-
+import httpload
+from loadgen import median_iqr
 from repro.mdm import model_to_xml, synthetic_model
 from repro.obs import RECORDER
 from repro.server import ModelServer
 from repro.web.publisher import clear_publisher_caches
 
-#: Same size ladder as bench_p1_engine / bench_o3_overhead.
-SIZES = {
-    "medium": dict(facts=5, dimensions=10, levels_per_dimension=4,
-                   measures_per_fact=6),
-    "large": dict(facts=20, dimensions=25, levels_per_dimension=5,
-                  measures_per_fact=8),
-}
-
 #: Acceptance: warm-cache throughput must beat the cold publish rate by
 #: at least this factor (ISSUE 4).
 MIN_WARM_SPEEDUP = 10.0
 
-
-def _connect(server) -> http.client.HTTPConnection:
-    return http.client.HTTPConnection(server.host, server.port, timeout=60)
-
-
-def _request(connection, method: str, path: str, *,
-             body: bytes | None = None, headers: dict | None = None):
-    connection.request(method, path, body=body, headers=headers or {})
-    response = connection.getresponse()
-    payload = response.read()
-    return response.status, payload
+#: Clients in the coalescing burst.
+BURST_CLIENTS = 16
 
 
-def _upload(server, name: str, xml: bytes) -> None:
-    connection = _connect(server)
-    try:
-        status, payload = _request(
-            connection, "PUT", f"/models/{name}", body=xml)
-        assert status in (200, 201), payload
-    finally:
-        connection.close()
-
-
-def _page_list(server, name: str) -> list[str]:
-    connection = _connect(server)
-    try:
-        status, payload = _request(connection, "GET", f"/health/{name}")
-        assert status == 200, payload
-        _request(connection, "GET", f"/site/{name}/index.html")
-    finally:
-        connection.close()
-    # The health check built the site; enumerate pages via a 404 body?
-    # No: ask the cache directly — the benchmark runs in-process.
-    entry = server.app.cache.peek(name, "multi")
-    return sorted(entry.pages)
-
-
-def _invalidate(server, name: str, xml: bytes, revision: int) -> bytes:
+def _invalidate(server, name: str, xml: bytes, revision: int) -> None:
     """Re-upload with changed bytes (a description stamped on the root)."""
     changed = xml.replace(
         b"<goldmodel ",
         f'<goldmodel description="rev{revision}" '.encode(), 1)
     assert changed != xml, "invalidation tweak did not change the bytes"
-    _upload(server, name, changed)
-    return changed
+    reply = httpload.fetch(server, "PUT", f"/models/{name}", body=changed)
+    assert reply.status in (200, 201), reply.body
 
 
-def bench_cold(server, name: str, xml: bytes, repeats: int) -> dict:
+def bench_cold(server, name: str, xml: bytes, rounds: int) -> dict:
     """Median first-request time after a full invalidation."""
     samples = []
-    for repetition in range(repeats):
-        _invalidate(server, name, xml, revision=1000 + repetition)
+    for number in range(rounds):
+        _invalidate(server, name, xml, revision=1000 + number)
         clear_publisher_caches()
-        connection = _connect(server)
-        try:
-            start = perf_counter()
-            status, payload = _request(
-                connection, "GET", f"/site/{name}/index.html")
-            samples.append(perf_counter() - start)
-            assert status == 200, payload
-        finally:
-            connection.close()
-    return {
-        "repeats": repeats,
-        "median_s": statistics.median(samples),
-        "best_s": min(samples),
-        "rate_rps": 1.0 / statistics.median(samples),
-    }
+        reply = httpload.fetch(server, "GET", f"/site/{name}/index.html")
+        assert reply.status == 200, reply.body
+        samples.append(reply.end - reply.start)
+    median, iqr = median_iqr(samples)
+    return {"rounds": rounds, "median_s": median, "iqr_s": iqr,
+            "rate_rps": 1.0 / median}
 
 
-def bench_warm(server, name: str, pages: list[str], *, clients: int,
-               requests_per_client: int) -> dict:
-    """Concurrent keep-alive sweep over every page; latency + throughput."""
-    # Prime the cache (and assert every page serves).
-    connection = _connect(server)
-    try:
-        for page in pages:
-            status, payload = _request(
-                connection, "GET", f"/site/{name}/{page}")
-            assert status == 200, (page, payload)
-    finally:
-        connection.close()
-
-    latencies: list[list[float]] = [[] for _ in range(clients)]
-    barrier = threading.Barrier(clients + 1)
-
-    def client(index: int) -> None:
-        connection = _connect(server)
-        try:
-            barrier.wait()
-            recorded = latencies[index]
-            for request_number in range(requests_per_client):
-                page = pages[(index + request_number) % len(pages)]
-                start = perf_counter()
-                status, _ = _request(
-                    connection, "GET", f"/site/{name}/{page}")
-                recorded.append(perf_counter() - start)
-                assert status == 200
-        finally:
-            connection.close()
-
-    threads = [threading.Thread(target=client, args=(index,), daemon=True)
-               for index in range(clients)]
-    for thread in threads:
-        thread.start()
-    barrier.wait()
-    start = perf_counter()
-    for thread in threads:
-        thread.join()
-    elapsed = perf_counter() - start
-
-    merged = sorted(sample for per_client in latencies
-                    for sample in per_client)
-    total = len(merged)
-    return {
-        "clients": clients,
-        "requests": total,
-        "elapsed_s": elapsed,
-        "throughput_rps": total / elapsed,
-        "p50_ms": 1000 * merged[total // 2],
-        "p99_ms": 1000 * merged[min(total - 1, (total * 99) // 100)],
-        "max_ms": 1000 * merged[-1],
-    }
-
-
-def bench_coalescing(server, name: str, xml: bytes, *,
-                     clients: int) -> dict:
+def bench_coalescing(server, name: str, xml: bytes) -> dict:
     """Burst a freshly invalidated model; obs counters must show one
     rebuild and ``clients - 1`` requests served without building."""
     _invalidate(server, name, xml, revision=2000)
     RECORDER.enable(clear=True)
     try:
-        barrier = threading.Barrier(clients)
-        failures: list[object] = []
-
-        def client() -> None:
-            connection = _connect(server)
-            try:
-                barrier.wait()
-                status, _ = _request(
-                    connection, "GET", f"/site/{name}/index.html")
-                if status != 200:
-                    failures.append(status)
-            finally:
-                connection.close()
-
-        threads = [threading.Thread(target=client, daemon=True)
-                   for _ in range(clients)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        burst = httpload.burst(server, f"/site/{name}/index.html",
+                               BURST_CLIENTS)
         counters = RECORDER.snapshot().counters
     finally:
         RECORDER.disable()
-    assert not failures, failures
     return {
-        "clients": clients,
+        "clients": BURST_CLIENTS,
+        **httpload.tally(burst.ops),
         "rebuilds": counters.get("server.site.rebuild", 0),
         "served_from_cache": (counters.get("server.site.hit", 0)
                               + counters.get("server.site.coalesced", 0)),
-        "requests": counters.get("server.request", 0),
     }
 
 
-def run(size: str, *, repeats: int, clients: int,
-        requests_per_client: int) -> dict:
-    model = synthetic_model(**SIZES[size])
-    xml = model_to_xml(model).encode("utf-8")
+def run(size: str, *, rounds: int, per_client: int) -> dict:
+    xml = model_to_xml(synthetic_model(**httpload.SIZES[size])).encode()
     name = f"bench-{size}"
     with ModelServer() as server:
-        _upload(server, name, xml)
-        pages = _page_list(server, name)
-        cold = bench_cold(server, name, xml, repeats)
-        warm = bench_warm(server, name, pages, clients=clients,
-                          requests_per_client=requests_per_client)
-        coalescing = bench_coalescing(server, name, xml, clients=16)
+        reply = httpload.fetch(server, "PUT", f"/models/{name}", body=xml)
+        assert reply.status in (200, 201), reply.body
+        httpload.prime(server, [f"/site/{name}/index.html"])
+        pages = sorted(server.app.cache.peek(name, "multi").pages)
+        paths = [f"/site/{name}/{page}" for page in pages]
+        cold = bench_cold(server, name, xml, rounds)
+        httpload.prime(server, paths)  # every page serves
+        warm = httpload.summarize(httpload.measure(
+            {"warm": lambda: httpload.sweep(server, paths, per_client)},
+            rounds)["warm"])
+        coalescing = bench_coalescing(server, name, xml)
     return {
         "size": size,
-        "model": dict(SIZES[size]),
-        "pages": len(pages),
+        "model": dict(httpload.SIZES[size]),
+        "pages": len(paths),
+        "clients": httpload.CLIENTS,
         "cold": cold,
         "warm": warm,
         "coalescing": coalescing,
-        "warm_vs_cold_speedup": warm["throughput_rps"] / cold["rate_rps"],
+        "warm_vs_cold_speedup":
+            warm["throughput_rps"]["median"] / cold["rate_rps"],
     }
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="model-repository server load benchmark (S4)")
-    parser.add_argument("--smoke", action="store_true",
-                        help="medium model, one cold repeat, no JSON")
-    parser.add_argument("--check", action="store_true",
-                        help="exit 1 unless warm >= 10x cold and the "
-                             "coalescing burst rebuilt exactly once")
-    parser.add_argument("--label", default="after")
-    parser.add_argument("--json", default=os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), "..",
-        "BENCH_s4_server.json"))
-    parser.add_argument("--clients", type=int, default=8)
-    args = parser.parse_args(argv)
-
+    args = httpload.parser("model-repository server load benchmark (S4)",
+                           "BENCH_s4_server.json").parse_args(argv)
     if args.smoke:
-        result = run("medium", repeats=1, clients=args.clients,
-                     requests_per_client=25)
+        result = run("medium", rounds=httpload.SMOKE_ROUNDS, per_client=25)
     else:
-        result = run("large", repeats=3, clients=args.clients,
-                     requests_per_client=50)
+        result = run("large", rounds=httpload.ROUNDS, per_client=50)
 
-    print(f"cold publish: {result['cold']['median_s'] * 1000:.1f} ms "
-          f"({result['cold']['rate_rps']:.2f} req/s)")
-    warm = result["warm"]
-    print(f"warm cache:   {warm['throughput_rps']:.0f} req/s over "
-          f"{warm['clients']} clients "
-          f"(p50 {warm['p50_ms']:.2f} ms, p99 {warm['p99_ms']:.2f} ms)")
+    cold, warm = result["cold"], result["warm"]
+    coalescing = result["coalescing"]
+    print(f"cold publish: {cold['median_s'] * 1000:.1f} ms "
+          f"(IQR {cold['iqr_s'] * 1000:.1f}; {cold['rate_rps']:.2f} req/s)")
+    print(f"warm cache:   {httpload.describe(warm)}")
     print(f"speedup:      {result['warm_vs_cold_speedup']:.1f}x "
           f"warm throughput vs cold publish rate")
-    coalescing = result["coalescing"]
     print(f"coalescing:   {coalescing['clients']} concurrent clients -> "
           f"{coalescing['rebuilds']} rebuild(s), "
           f"{coalescing['served_from_cache']} served from cache")
 
-    if not args.smoke:
-        payload = {"benchmark": "s4_server", "runs": {}}
-        if os.path.exists(args.json):
-            with open(args.json, encoding="utf-8") as handle:
-                payload = json.load(handle)
-        payload.setdefault("runs", {})[args.label] = result
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {os.path.normpath(args.json)}")
-
-    if args.check:
-        failures = []
-        if result["warm_vs_cold_speedup"] < MIN_WARM_SPEEDUP:
-            failures.append(
-                f"warm/cold speedup {result['warm_vs_cold_speedup']:.1f}x "
-                f"< {MIN_WARM_SPEEDUP}x")
-        if coalescing["rebuilds"] != 1:
-            failures.append(
-                f"coalescing burst rebuilt {coalescing['rebuilds']} times "
-                "(expected 1)")
-        if failures:
-            print("CHECK FAILED: " + "; ".join(failures))
-            return 1
-        print("CHECK OK")
-    return 0
+    failures = (httpload.failed("warm", warm)
+                + httpload.failed("coalescing", coalescing))
+    if result["warm_vs_cold_speedup"] < MIN_WARM_SPEEDUP:
+        failures.append(
+            f"warm/cold speedup {result['warm_vs_cold_speedup']:.1f}x "
+            f"< {MIN_WARM_SPEEDUP}x")
+    if coalescing["rebuilds"] != 1:
+        failures.append(f"coalescing burst rebuilt {coalescing['rebuilds']} "
+                        "times (expected 1)")
+    return httpload.finish(args, "s4_server", result, failures)
 
 
 if __name__ == "__main__":

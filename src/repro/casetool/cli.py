@@ -109,10 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "re-rendered, the rest reuse DIR's bytes "
                               "(DESIGN.md §14); usually the same DIR as "
                               "the output directory")
-    publish.add_argument("--no-incremental", action="store_true",
-                         help="disable diff-driven republish and the "
-                              "dependency-index dotfile; "
-                              "GOLDCASE_NO_INCREMENTAL=1 does the same")
 
     present = sub.add_parser(
         "present", help="one per-fact-class presentation (Fig. 5)")
@@ -180,11 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="force the interpreting XSLT engine instead "
                             "of the compiled closures (DESIGN.md §13); "
                             "GOLDCASE_NO_COMPILE=1 does the same")
-    serve.add_argument("--no-incremental", action="store_true",
-                       help="always rebuild sites cold on re-upload "
-                            "instead of diff-driven republish "
-                            "(DESIGN.md §14); GOLDCASE_NO_INCREMENTAL=1 "
-                            "does the same")
     serve.add_argument("--access-log", nargs="?", const="-", default=None,
                        metavar="PATH",
                        help="write one JSON line per request (request id, "
@@ -365,25 +356,19 @@ def _run(args: argparse.Namespace) -> int:
     if args.command == "publish":
         import os
 
-        from ..web import check_site, publish_multi_page, publish_single_page
-        from ..web.incremental import (INDEX_FILENAME, incremental_enabled,
-                                       publish_with_index,
-                                       republish_incremental,
-                                       set_incremental_enabled)
+        from ..web import check_site, publish_single_page
+        from ..web.incremental import (INDEX_FILENAME, publish_with_index,
+                                       republish_incremental)
 
         if args.no_compile:
             from ..xslt import set_compile_enabled
 
             set_compile_enabled(False)
-        if args.no_incremental:
-            set_incremental_enabled(False)
         model = _load_model(args.model)
         index = None
         note = ""
         if args.single:
             site = publish_single_page(model)
-        elif not incremental_enabled():
-            site = publish_multi_page(model)
         else:
             previous = _load_previous_build(args.incremental_from) \
                 if args.incremental_from else None
@@ -490,10 +475,6 @@ def _run(args: argparse.Namespace) -> int:
             from ..xslt import set_compile_enabled
 
             set_compile_enabled(False)
-        if args.no_incremental:
-            from ..web.incremental import set_incremental_enabled
-
-            set_incremental_enabled(False)
         if args.workers > 1 and (args.access_log is not None or args.slo):
             # Worker telemetry is constructed inside each forked
             # process; plumbing a shared log handle or SLO list through

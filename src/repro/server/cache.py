@@ -43,7 +43,6 @@ from ..web.incremental import (
     DependencyIndex,
     build_index,
     classify_node,
-    incremental_enabled,
     republish_incremental,
 )
 from ..web.linkcheck import LinkReport, check_site
@@ -220,7 +219,7 @@ class SiteCache(CoalescingCache):
         index left over from a different baseline — falls back to a
         tracked full build, counted as ``incremental_fallback``.
         """
-        if variant != "multi" or not incremental_enabled():
+        if variant != "multi":
             return _build_variant(record, variant)
         previous = self._entries.get(key)
         with self._meta_lock:

@@ -41,19 +41,15 @@ the diff/index machinery cannot prove safe falls back to a full
   soundness guard);
 * ``error:<Type>`` — any unexpected failure during the attempt.
 
-Escape hatches mirror the compiled-engine ones: ``goldcase publish/serve
---no-incremental``, the ``GOLDCASE_NO_INCREMENTAL`` environment
-variable, and :func:`set_incremental_enabled`.  The ``publish.diff``
-fault point fires at entry — *outside* the graceful-fallback region — so
-the chaos harness can fail an incremental rebuild outright and exercise
-the server's serve-stale degradation path.
+The ``publish.diff`` fault point fires at entry — *outside* the
+graceful-fallback region — so the chaos harness can fail an incremental
+rebuild outright and exercise the server's serve-stale degradation path.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import threading
 from dataclasses import fields as dataclass_fields
 
@@ -82,8 +78,7 @@ from .publisher import (
 from .stylesheets import MULTI_PAGE_XSL
 
 __all__ = ["DependencyIndex", "INDEX_FILENAME", "MODEL_UNIT", "UNIT_TAGS",
-           "build_index", "classify_node", "incremental_enabled",
-           "set_incremental_enabled", "publish_with_index",
+           "build_index", "classify_node", "publish_with_index",
            "republish_incremental"]
 
 #: Dotfile written next to a published site holding the dependency index.
@@ -106,25 +101,9 @@ _DIFF_FAULT = fault_point(
     "publish.diff", "raise/delay at the entry of an incremental republish "
                     "(incremental.py)")
 
-_override: bool | None = None
-
 #: Guards DependencyIndex._take_baseline (ownership handover of the
 #: baseline DOM); held for two attribute accesses, never during work.
 _BASELINE_LOCK = threading.Lock()
-
-
-def incremental_enabled() -> bool:
-    """True unless disabled via set_incremental_enabled(False) or the
-    GOLDCASE_NO_INCREMENTAL environment variable."""
-    if _override is not None:
-        return _override
-    return os.environ.get("GOLDCASE_NO_INCREMENTAL", "") in ("", "0")
-
-
-def set_incremental_enabled(value: bool | None) -> None:
-    """Override incremental publishing (None restores the env default)."""
-    global _override
-    _override = value
 
 
 def classify_node(node: object) -> str:

@@ -97,12 +97,12 @@ class TestServeStale:
         import time
 
         from repro.server import cache as cache_module
-        from repro.web import incremental as incremental_module
 
-        # The fake below is the *full-build* seam; disable incremental so
-        # the warm rebuild cannot route around it via the diff path.
-        monkeypatch.setattr(incremental_module, "_override", False)
+        # The fake below is the *full-build* seam; drop the dependency
+        # index so the warm rebuild cannot route around it via the diff
+        # path.
         app.handle("GET", "/site/sales/index.html")
+        app.cache._dep_indexes.clear()
         baseline = app.cache.stats()["rebuilds"]
         app.handle("PUT", "/models/sales", {}, SALES_V2)
 
@@ -354,18 +354,6 @@ class TestIncrementalRebuild:
         app.handle("PUT", "/models/sales", {}, SALES_XML)
         assert app.handle("GET", "/site/sales/index.html").status == 200
         assert app.cache.stats()["incremental"] >= 1
-
-    def test_no_incremental_escape_hatch_disables_the_path(
-            self, app, monkeypatch):
-        from repro.web import incremental as incremental_module
-
-        monkeypatch.setattr(incremental_module, "_override", False)
-        self._warm(app)
-        app.handle("PUT", "/models/sales", {}, SALES_V2)
-        assert app.handle("GET", "/site/sales/index.html").status == 200
-        stats = app.cache.stats()
-        assert stats["incremental"] == 0
-        assert stats["incremental_fallback"] == 0
 
     def test_invalidate_drops_the_stored_index(self, app):
         self._warm(app)
