@@ -13,10 +13,10 @@ ephemeral port, answering the acceptance questions:
   requests/s and p50 over rounds and the pooled p99.  The acceptance
   gate (``--check``) requires warm throughput ≥ 10× the cold publish
   rate.
-* **Coalescing proof** — with the obs recorder on, a barrier-started
-  burst of clients against a freshly invalidated model must record
-  exactly one ``server.site.rebuild`` (the other clients coalesce on
-  the per-model build lock).
+* **Coalescing proof** — a barrier-started burst of clients against a
+  freshly invalidated model must add exactly one ``rebuilds`` to the
+  site cache's stats (the other clients coalesce on the per-model build
+  lock).
 
 ``--check`` also fails on any failed request.  Results merge into
 ``BENCH_s4_server.json`` under ``--label``::
@@ -35,7 +35,6 @@ import sys
 import httpload
 from loadgen import median_iqr
 from repro.mdm import model_to_xml, synthetic_model
-from repro.obs import RECORDER
 from repro.server import ModelServer
 from repro.web.publisher import clear_publisher_caches
 
@@ -72,22 +71,21 @@ def bench_cold(server, name: str, xml: bytes, rounds: int) -> dict:
 
 
 def bench_coalescing(server, name: str, xml: bytes) -> dict:
-    """Burst a freshly invalidated model; obs counters must show one
-    rebuild and ``clients - 1`` requests served without building."""
+    """Burst a freshly invalidated model; the site cache's stats must
+    show one rebuild and ``clients - 1`` requests served without
+    building."""
     _invalidate(server, name, xml, revision=2000)
-    RECORDER.enable(clear=True)
-    try:
-        burst = httpload.burst(server, f"/site/{name}/index.html",
-                               BURST_CLIENTS)
-        counters = RECORDER.snapshot().counters
-    finally:
-        RECORDER.disable()
+    before = server.app.cache.stats()
+    burst = httpload.burst(server, f"/site/{name}/index.html",
+                           BURST_CLIENTS)
+    after = server.app.cache.stats()
+    delta = {stat: after[stat] - before[stat]
+             for stat in ("rebuilds", "hits", "coalesced")}
     return {
         "clients": BURST_CLIENTS,
         **httpload.tally(burst.ops),
-        "rebuilds": counters.get("server.site.rebuild", 0),
-        "served_from_cache": (counters.get("server.site.hit", 0)
-                              + counters.get("server.site.coalesced", 0)),
+        "rebuilds": delta["rebuilds"],
+        "served_from_cache": delta["hits"] + delta["coalesced"],
     }
 
 

@@ -42,8 +42,6 @@ from __future__ import annotations
 import threading
 from typing import Callable
 
-from .obs.recorder import RECORDER as _REC
-
 __all__ = ["CacheBuildError", "CacheOverloadError", "CoalescingCache"]
 
 
@@ -84,10 +82,9 @@ class CoalescingCache:
     #: The Retry-After hint attached to shed responses.
     RETRY_AFTER_S = 1
 
-    #: The subclass's stat names, in ``stats()`` order, each with the
-    #: ``RECORDER`` counter that mirrors it when profiling.  They
-    #: include every stat :meth:`get` bumps.
-    _COUNTER: dict[str, str] = {}
+    #: The subclass's stat names, in ``stats()`` order.  They include
+    #: every stat :meth:`get` bumps.
+    STATS: tuple[str, ...] = ()
     #: The subclass's names for the stats of a build that ran and of
     #: one that failed.
     BUILDS = "builds"
@@ -109,8 +106,7 @@ class CoalescingCache:
         #: which waiters snapshot to recognise the attempt they slept
         #: through.
         self._attempts: dict[tuple, int] = {}
-        # Local stats power /stats with the obs recorder off.
-        self._stats = dict.fromkeys(self._COUNTER, 0)
+        self._stats = dict.fromkeys(self.STATS, 0)
 
     # -- subclass hooks -----------------------------------------------------
 
@@ -122,8 +118,6 @@ class CoalescingCache:
     def _bump(self, stat: str) -> None:
         with self._meta_lock:
             self._stats[stat] += 1
-        if _REC.enabled:
-            _REC.count(self._COUNTER[stat])
 
     def _key_lock(self, key: tuple) -> threading.Lock:
         with self._meta_lock:

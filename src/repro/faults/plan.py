@@ -31,8 +31,8 @@ Activation is per-test (``with injected_faults(plan): ...``) or via the
 i.e. ``;``-separated ``point=mode[:rate[:arg]]`` entries (``arg`` is the
 sleep in seconds for ``delay``, the fire budget for other modes) plus an
 optional ``seed=N``.  Every fire is counted locally (for ``/stats`` and
-the chaos runner's reports) and mirrored to the observability layer as
-``server.fault.<point>`` when the recorder is on.
+the chaos runner's reports) and reported to the fire listener, which
+the server telemetry uses to attribute it to a request.
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ import threading
 import time
 from dataclasses import dataclass
 from random import Random
-
-from ..obs.recorder import RECORDER as _REC
 
 __all__ = [
     "FAULTS",
@@ -254,8 +252,6 @@ class FaultRegistry:
             # replay mutates the same offsets in the same order.
             corrupt_at = rng.randrange(len(payload)) \
                 if spec.mode == "corrupt" and payload else 0
-        if _REC.enabled:
-            _REC.count(f"server.fault.{point}")
         listener = _FIRE_LISTENER
         if listener is not None:
             # Runs on the firing thread, so the server telemetry can

@@ -39,8 +39,7 @@ from .recorder import (
     profiling,
     span,
 )
-from .rolling import (GAMMA, WINDOWS, QuantileSketch, RollingWindow,
-                      ShardedRollingWindow)
+from .rolling import GAMMA, WINDOWS, QuantileSketch, RollingWindow
 from .slo import LatencySLO, RatioSLO, SLOStatus, default_slos, parse_slo
 
 __all__ = [
@@ -52,7 +51,6 @@ __all__ = [
     "Recorder",
     "RequestIdGenerator",
     "RollingWindow",
-    "ShardedRollingWindow",
     "SLOStatus",
     "Snapshot",
     "SCHEMA_VERSION",

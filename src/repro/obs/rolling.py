@@ -17,14 +17,18 @@ Two pieces, both stdlib-only and import-free within the package:
   relative error by one bucket: for the exact q-quantile ``x`` the
   estimate ``x̂`` satisfies ``x <= x̂ < GAMMA * x`` (documented bound,
   pinned by Hypothesis tests in ``tests/obs/test_rolling_properties``).
-  Merging two sketches adds their bucket counts, so per-thread or
-  per-window merges commute and lose nothing.
-* :class:`RollingWindow` — a ring of per-second buckets (counters plus
-  sketches), sized to the largest window it must answer.  The armed
-  hot-path cost is a couple of dict ops under one short lock; windowed
-  reads merge at *snapshot* time, never on the request path.  Memory is
-  O(window): the ring overwrites slots in place, so a server up for a
-  month holds exactly as many buckets as one up for twenty minutes.
+  Merging two sketches adds their bucket counts, so per-window merges
+  commute and lose nothing.
+* :class:`RollingWindow` — one ring of per-second buckets (counters
+  plus sketches) and one set of lifetime totals, sized to the largest
+  window it must answer.  Each writer thread writes to a small buffer
+  of its own that holds only what it wrote in its current second, so
+  the armed hot path is a couple of dict ops under a lock no other
+  writer takes.  A buffer folds into the ring when its second rolls
+  over, before any read, and after its thread has died.  Memory is
+  O(window + live threads): the ring overwrites slots in place, so a
+  server up for a month holds exactly as many buckets as one up for
+  twenty minutes.
 
 The clock is injectable (seconds, monotonic by convention) so tests
 advance time explicitly — no wall-clock reads are needed to exercise
@@ -42,7 +46,6 @@ __all__ = [
     "MIN_TRACKED",
     "QuantileSketch",
     "RollingWindow",
-    "ShardedRollingWindow",
     "WINDOWS",
 ]
 
@@ -205,8 +208,332 @@ class _Bucket:
         self.sketches: dict[str, QuantileSketch] = {}
 
 
-class _WindowReads:
-    """Derived read-side views shared by plain and sharded windows."""
+class _Buffer:
+    """One writer thread's writes in its current second.
+
+    This is all the armed hot path touches: one lock no other writer
+    takes, one clock read, and a dict bump or a list append.  At full
+    request rate the telemetry cost is made of cache misses, not
+    instruction count, so a request lands on the small hot dicts its
+    thread touched a moment ago instead of the cold ring and sketches.
+    The writes fold into the ring when the second rolls over (see
+    :meth:`RollingWindow._fold`).
+    """
+
+    __slots__ = ("window", "clock", "thread", "lock", "second",
+                 "counters", "hits", "observations")
+
+    def __init__(self, window: "RollingWindow") -> None:
+        self.window = window
+        self.clock = window._clock
+        self.thread = threading.current_thread()
+        self.lock = threading.Lock()
+        #: The second the pending writes belong to (None: nothing pending).
+        self.second: int | None = None
+        self.counters: dict[str, int] = {}
+        #: counter-name tuple -> request count; the fused request path
+        #: (:meth:`record_hit`) bumps one entry per request instead of
+        #: one per counter, and the fold fans the tuple back out.
+        self.hits: dict[tuple, int] = {}
+        #: sketch name -> pending values; the lists are emptied in
+        #: place at fold and reused, so a steady-state request adds
+        #: one float to a hot list — no GC-tracked allocation at all.
+        self.observations: dict[str, list[float]] = {}
+
+    def fold(self) -> None:
+        """Move the pending second into the ring (buffer lock held)."""
+        if self.second is not None:
+            self.window._fold(self)
+            self.second = None
+
+    def _roll(self) -> None:
+        """Fold if the clock has left the pending second (lock held)."""
+        second = int(self.clock())
+        if second != self.second:
+            self.fold()
+            self.second = second
+
+    def inc(self, name: str, n: int = 1) -> None:
+        with self.lock:
+            self._roll()
+            counters = self.counters
+            counters[name] = counters.get(name, 0) + n
+
+    def observe(self, name: str, value: float) -> None:
+        with self.lock:
+            self._roll()
+            values = self.observations.get(name)
+            if values is None:
+                values = self.observations[name] = []
+            values.append(value)
+
+    def record(self, counters: dict[str, int],
+               observations: dict[str, float] | None = None) -> None:
+        with self.lock:
+            self._roll()
+            pending = self.counters
+            for name, n in counters.items():
+                pending[name] = pending.get(name, 0) + n
+            if observations:
+                obs = self.observations
+                for name, value in observations.items():
+                    values = obs.get(name)
+                    if values is None:
+                        values = obs[name] = []
+                    values.append(value)
+
+    def record_hit(self, names: tuple, sized_name: str | None,
+                   size: int, obs_name: str, obs_value: float) -> None:
+        with self.lock:
+            self._roll()
+            hits = self.hits
+            hits[names] = hits.get(names, 0) + 1
+            if sized_name is not None:
+                pending = self.counters
+                pending[sized_name] = pending.get(sized_name, 0) + size
+            values = self.observations.get(obs_name)
+            if values is None:
+                values = self.observations[obs_name] = []
+            values.append(obs_value)
+
+
+class RollingWindow:
+    """Time-windowed counters and latency sketches over a bucket ring.
+
+    * ``inc``/``observe``/``record``/``record_hit`` are the armed hot
+      path; they write to the calling thread's :class:`_Buffer`.  Each
+      write also feeds *cumulative* totals (monotonic since
+      construction — the ``/metrics`` counter surface) so windowed
+      rates and lifetime counters never disagree about the past.
+    * Every read first folds every buffer, then reads the one ring.
+      Windowed reads (``window_counters`` / ``window_sketch``) merge
+      only the buckets whose stamped second falls inside
+      ``(now - window, now]``; a stale slot left from a clock jump is
+      filtered by its stamp, never double-counted.
+    * The ring is fixed at ``window_s`` slots; second ``t`` lands in
+      slot ``t % window_s``, evicting an older second that lived there
+      — reclaim is free and memory is O(window + live threads), not
+      O(uptime).
+    * Lock order: the registry lock, then a buffer's lock, then the
+      ring lock.  Nothing takes a buffer's lock while it holds the
+      ring lock, and a writer takes the ring lock once per second.
+    """
+
+    def __init__(self, *, window_s: int = WINDOWS[-1],
+                 clock=time.monotonic) -> None:
+        if window_s < 1:
+            raise ValueError("window_s must be at least one second")
+        self.window_s = window_s
+        self._clock = clock
+        self._lock = threading.Lock()
+        self._ring: list[_Bucket | None] = [None] * window_s
+        self._totals: dict[str, int] = {}
+        self._total_sketches: dict[str, QuantileSketch] = {}
+        self._local = threading.local()
+        self._registry_lock = threading.Lock()
+        self._buffers: list[_Buffer] = []
+        self._started = clock()
+
+    # -- recording (the armed hot path) ------------------------------------
+
+    def buffer_for_thread(self) -> _Buffer:
+        """This thread's write buffer, for callers that cache it.
+
+        The telemetry finish path resolves its buffer once per thread
+        (and re-resolves only if the window object changes) instead of
+        paying the ``threading.local`` lookup per request.  Safe to
+        hold: a live thread's buffer is never dropped, and folding
+        moves its writes without invalidating it.
+        """
+        buffer = getattr(self._local, "buffer", None)
+        if buffer is None:
+            buffer = self._local.buffer = _Buffer(self)
+            with self._registry_lock:
+                self._buffers.append(buffer)
+            # Registering is when dead threads' buffers go, so the
+            # registry stays O(live threads) under thread-per-connection.
+            self._fold_buffers()
+        return buffer
+
+    def inc(self, name: str, n: int = 1) -> None:
+        """Add *n* to counter *name* (cumulative and current second)."""
+        self.buffer_for_thread().inc(name, n)
+
+    def observe(self, name: str, value: float) -> None:
+        """Record *value* into sketch *name* (cumulative and windowed)."""
+        self.buffer_for_thread().observe(name, value)
+
+    def record(self, counters: dict[str, int],
+               observations: dict[str, float] | None = None) -> None:
+        """Apply many counters and observations atomically.
+
+        One lock acquisition and one clock read for a whole request's
+        worth of increments.
+        """
+        self.buffer_for_thread().record(counters, observations)
+
+    def record_hit(self, names: tuple, sized_name: str | None,
+                   size: int, obs_name: str, obs_value: float) -> None:
+        """:meth:`record` for the common single-request shape.
+
+        *names* are counters incremented by one, *sized_name* (if any)
+        by *size*, and *obs_value* lands in sketch *obs_name*.  The
+        caller precomputes *names* once per (status, flags, model)
+        combination, so the armed hot path skips building and
+        iterating a scratch dict entirely — it is the fused form of
+        what :meth:`repro.server.telemetry.ServerTelemetry.finish`
+        used to assemble per request.  Because callers intern the
+        names tuple, the whole counter side of a request is one dict
+        bump; the fold fans it out per name.
+        """
+        self.buffer_for_thread().record_hit(names, sized_name, size,
+                                            obs_name, obs_value)
+
+    # -- folding -----------------------------------------------------------
+
+    def _fold(self, buffer: _Buffer) -> None:
+        """Add *buffer*'s pending second to the totals and the ring.
+
+        Called with the buffer's lock held.  The one fold rule: second
+        ``s`` goes to slot ``s % window_s``.  An older second there is
+        replaced, ``s`` itself is added to, and a newer second means
+        ``s`` is outside every window, so it reaches the totals only
+        and the newer bucket stays intact.  Pending data moves — it is
+        never re-read — so totals stay monotonic and nothing is
+        counted twice.
+        """
+        second = buffer.second
+        with self._lock:
+            slot = second % self.window_s
+            bucket = self._ring[slot]
+            if bucket is None or bucket.second < second:
+                bucket = self._ring[slot] = _Bucket(second)
+            elif bucket.second > second:
+                bucket = _Bucket(second)  # totals only: dropped below
+            totals = self._totals
+            counters = bucket.counters
+            for name, n in buffer.counters.items():
+                totals[name] = totals.get(name, 0) + n
+                counters[name] = counters.get(name, 0) + n
+            for names, count in buffer.hits.items():
+                for name in names:
+                    totals[name] = totals.get(name, 0) + count
+                    counters[name] = counters.get(name, 0) + count
+            for name, values in buffer.observations.items():
+                if not values:
+                    continue
+                sketch = self._total_sketches.get(name)
+                if sketch is None:
+                    sketch = self._total_sketches[name] = QuantileSketch()
+                windowed = bucket.sketches.get(name)
+                if windowed is None:
+                    windowed = bucket.sketches[name] = QuantileSketch()
+                for value in values:
+                    if value <= MIN_TRACKED:
+                        index = None
+                    else:
+                        index = math.ceil(math.log(value) / _LOG_GAMMA)
+                    sketch.add_indexed(index, value)
+                    windowed.add_indexed(index, value)
+                del values[:]
+        buffer.counters.clear()
+        buffer.hits.clear()
+
+    def _fold_buffers(self) -> None:
+        """Fold every buffer into the ring; drop dead threads' buffers.
+
+        Every read starts here, so no write is ever invisible.  A
+        thread's liveness is read *before* its buffer folds: a thread
+        already dead can write nothing after the fold, and one that
+        dies just after is kept until the next pass.
+        """
+        with self._registry_lock:
+            live = []
+            for buffer in self._buffers:
+                alive = buffer.thread.is_alive()
+                with buffer.lock:
+                    buffer.fold()
+                if alive:
+                    live.append(buffer)
+            self._buffers = live
+
+    # -- reading (snapshot time) -------------------------------------------
+
+    def uptime_s(self) -> float:
+        return self._clock() - self._started
+
+    def totals(self) -> dict[str, int]:
+        """Cumulative counters since construction (monotonic)."""
+        self._fold_buffers()
+        with self._lock:
+            return dict(self._totals)
+
+    def total(self, name: str) -> int:
+        self._fold_buffers()
+        with self._lock:
+            return self._totals.get(name, 0)
+
+    def total_sketch(self, name: str) -> QuantileSketch:
+        """A copy of the cumulative sketch *name* (empty if unknown)."""
+        self._fold_buffers()
+        with self._lock:
+            sketch = self._total_sketches.get(name)
+            return sketch.copy() if sketch is not None else QuantileSketch()
+
+    def sketch_names(self) -> list[str]:
+        self._fold_buffers()
+        with self._lock:
+            return sorted(self._total_sketches)
+
+    def _window_buckets(self, window_s: int) -> list[_Bucket]:
+        """Buckets inside ``(now - window_s, now]`` (ring lock held)."""
+        window_s = min(window_s, self.window_s)
+        now = int(self._clock())
+        low = now - window_s
+        return [bucket for bucket in self._ring
+                if bucket is not None and low < bucket.second <= now]
+
+    def window_counters(self, window_s: int) -> dict[str, int]:
+        """Summed counters over the trailing *window_s* seconds."""
+        merged: dict[str, int] = {}
+        self._fold_buffers()
+        with self._lock:
+            for bucket in self._window_buckets(window_s):
+                for name, n in bucket.counters.items():
+                    merged[name] = merged.get(name, 0) + n
+        return merged
+
+    def window_sketch(self, name: str, window_s: int) -> QuantileSketch:
+        """Sketch *name* merged over the trailing *window_s* seconds."""
+        merged = QuantileSketch()
+        self._fold_buffers()
+        with self._lock:
+            for bucket in self._window_buckets(window_s):
+                sketch = bucket.sketches.get(name)
+                if sketch is not None:
+                    merged.merge(sketch)
+        return merged
+
+    def series(self, name: str, seconds: int = 60) -> list[int]:
+        """Per-second values of counter *name*, oldest to newest.
+
+        Exactly *seconds* entries ending at the current second; seconds
+        with no bucket (idle or reclaimed) read as zero.
+        """
+        seconds = min(seconds, self.window_s)
+        self._fold_buffers()
+        with self._lock:
+            now = int(self._clock())
+            by_second = {bucket.second: bucket.counters.get(name, 0)
+                         for bucket in self._ring if bucket is not None}
+        return [by_second.get(second, 0)
+                for second in range(now - seconds + 1, now + 1)]
+
+    def bucket_count(self) -> int:
+        """Occupied ring slots (bounded by ``window_s`` forever)."""
+        self._fold_buffers()
+        with self._lock:
+            return sum(1 for bucket in self._ring if bucket is not None)
 
     def rate(self, name: str, window_s: int) -> float:
         """Counter *name* per second over the trailing window."""
@@ -230,437 +557,3 @@ class _WindowReads:
                     entry["sketches"][name] = sketch.as_dict()
             snap["windows"][str(window_s)] = entry
         return snap
-
-
-class RollingWindow(_WindowReads):
-    """Time-windowed counters and latency sketches over a bucket ring.
-
-    * ``inc``/``observe`` are the armed hot path: one lock, a couple of
-      dict ops.  Both also feed *cumulative* totals (monotonic since
-      construction — the ``/metrics`` counter surface) so windowed
-      rates and lifetime counters never disagree about the past.
-    * Windowed reads (``window_counters`` / ``window_sketch``) merge
-      only the buckets whose stamped second falls inside
-      ``(now - window, now]``; a stale slot left from a clock jump is
-      filtered by its stamp, never double-counted.
-    * The ring is fixed at ``window_s`` slots; writing second ``t``
-      claims slot ``t % window_s``, evicting whatever second lived
-      there — reclaim is free and memory is O(window), not O(uptime).
-    """
-
-    def __init__(self, *, window_s: int = WINDOWS[-1],
-                 clock=time.monotonic) -> None:
-        if window_s < 1:
-            raise ValueError("window_s must be at least one second")
-        self.window_s = window_s
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._ring: list[_Bucket | None] = [None] * window_s
-        self._totals: dict[str, int] = {}
-        self._total_sketches: dict[str, QuantileSketch] = {}
-        # Writes accumulate here and flush into the ring/totals when the
-        # second rolls over or a reader looks (see _flush_locked): the
-        # per-request path then touches one small hot dict and one list
-        # instead of six cold structures, which is what the telemetry
-        # cost is actually made of at full request rate (cache misses,
-        # not instruction count).
-        self._pending: dict[str, int] = {}
-        #: counter-name tuple -> request count; the fused request path
-        #: (:meth:`record_hit`) bumps one entry per request instead of
-        #: one per counter, and the flush fans the tuple back out.
-        self._pending_hits: dict[tuple, int] = {}
-        #: sketch name -> pending values; the lists are emptied in
-        #: place at flush and reused, so a steady-state request adds
-        #: one float to a hot list — no GC-tracked allocation at all.
-        self._pending_obs: dict[str, list[float]] = {}
-        self._pending_second: int | None = None
-        self._started = clock()
-
-    # -- recording (the armed hot path) ------------------------------------
-
-    def _flush_locked(self) -> None:
-        """Apply pending writes to totals/ring (lock held by caller).
-
-        Amortisation point of the whole design: a second's worth of
-        requests lands on the cumulative dicts, the ring bucket, and
-        the sketches in one pass.  Readers call this first, so nothing
-        is ever invisible or double-counted, and totals stay monotonic
-        because pending data moves — it is never dropped or re-read.
-        """
-        second = self._pending_second
-        if second is None:
-            return
-        self._pending_second = None
-        slot = second % self.window_s
-        bucket = self._ring[slot]
-        if bucket is None or bucket.second != second:
-            bucket = self._ring[slot] = _Bucket(second)
-        totals = self._totals
-        counters = bucket.counters
-        pending = self._pending
-        if pending:
-            for name, n in pending.items():
-                totals[name] = totals.get(name, 0) + n
-                counters[name] = counters.get(name, 0) + n
-            pending.clear()
-        hits = self._pending_hits
-        if hits:
-            for names, count in hits.items():
-                for name in names:
-                    totals[name] = totals.get(name, 0) + count
-                    counters[name] = counters.get(name, 0) + count
-            hits.clear()
-        for name, values in self._pending_obs.items():
-            if not values:
-                continue
-            sketch = self._total_sketches.get(name)
-            if sketch is None:
-                sketch = self._total_sketches[name] = QuantileSketch()
-            windowed = bucket.sketches.get(name)
-            if windowed is None:
-                windowed = bucket.sketches[name] = QuantileSketch()
-            for value in values:
-                if value <= MIN_TRACKED:
-                    index = None
-                else:
-                    index = math.ceil(math.log(value) / _LOG_GAMMA)
-                sketch.add_indexed(index, value)
-                windowed.add_indexed(index, value)
-            del values[:]
-
-    def _pend(self) -> None:
-        """Roll pending state to the current second (lock held)."""
-        second = int(self._clock())
-        if second != self._pending_second:
-            self._flush_locked()
-            self._pending_second = second
-
-    def inc(self, name: str, n: int = 1) -> None:
-        """Add *n* to counter *name* (cumulative and current second)."""
-        with self._lock:
-            self._pend()
-            pending = self._pending
-            pending[name] = pending.get(name, 0) + n
-
-    def observe(self, name: str, value: float) -> None:
-        """Record *value* into sketch *name* (cumulative and windowed)."""
-        with self._lock:
-            self._pend()
-            values = self._pending_obs.get(name)
-            if values is None:
-                values = self._pending_obs[name] = []
-            values.append(value)
-
-    def record(self, counters: dict[str, int],
-               observations: dict[str, float] | None = None) -> None:
-        """Apply many counters and observations atomically.
-
-        One lock acquisition, one clock read, and only *hot* memory for
-        a whole request's worth of increments: everything lands in the
-        pending dict/list this shard's writer touched a moment ago and
-        flushes to the cold ring/sketch structures at most once per
-        second.
-        """
-        with self._lock:
-            self._pend()
-            pending = self._pending
-            for name, n in counters.items():
-                pending[name] = pending.get(name, 0) + n
-            if observations:
-                obs = self._pending_obs
-                for name, value in observations.items():
-                    values = obs.get(name)
-                    if values is None:
-                        values = obs[name] = []
-                    values.append(value)
-
-    def record_hit(self, names: tuple, sized_name: str | None,
-                   size: int, obs_name: str, obs_value: float) -> None:
-        """:meth:`record` for the common single-request shape.
-
-        *names* are counters incremented by one, *sized_name* (if any)
-        by *size*, and *obs_value* lands in sketch *obs_name*.  The
-        caller precomputes *names* once per (status, flags, model)
-        combination, so the armed hot path skips building and
-        iterating a scratch dict entirely — it is the fused form of
-        what :meth:`repro.server.telemetry.ServerTelemetry.finish`
-        used to assemble per request.  Because callers intern the
-        names tuple, the whole counter side of a request is one dict
-        bump here; the flush fans it out per name.
-        """
-        with self._lock:
-            self._pend()
-            hits = self._pending_hits
-            hits[names] = hits.get(names, 0) + 1
-            if sized_name is not None:
-                pending = self._pending
-                pending[sized_name] = pending.get(sized_name, 0) + size
-            values = self._pending_obs.get(obs_name)
-            if values is None:
-                values = self._pending_obs[obs_name] = []
-            values.append(obs_value)
-
-    def shard_for_thread(self) -> "RollingWindow":
-        """The window the current thread should write to (itself)."""
-        return self
-
-    # -- reading (snapshot time) -------------------------------------------
-
-    def uptime_s(self) -> float:
-        return self._clock() - self._started
-
-    def totals(self) -> dict[str, int]:
-        """Cumulative counters since construction (monotonic)."""
-        with self._lock:
-            self._flush_locked()
-            return dict(self._totals)
-
-    def total(self, name: str) -> int:
-        with self._lock:
-            self._flush_locked()
-            return self._totals.get(name, 0)
-
-    def total_sketch(self, name: str) -> QuantileSketch:
-        """A copy of the cumulative sketch *name* (empty if unknown)."""
-        with self._lock:
-            self._flush_locked()
-            sketch = self._total_sketches.get(name)
-            return sketch.copy() if sketch is not None else QuantileSketch()
-
-    def sketch_names(self) -> list[str]:
-        with self._lock:
-            self._flush_locked()
-            return sorted(self._total_sketches)
-
-    def _window_buckets(self, window_s: int) -> list[_Bucket]:
-        """Buckets inside ``(now - window_s, now]`` (lock held)."""
-        window_s = min(window_s, self.window_s)
-        now = int(self._clock())
-        low = now - window_s
-        return [bucket for bucket in self._ring
-                if bucket is not None and low < bucket.second <= now]
-
-    def window_counters(self, window_s: int) -> dict[str, int]:
-        """Summed counters over the trailing *window_s* seconds."""
-        merged: dict[str, int] = {}
-        with self._lock:
-            self._flush_locked()
-            for bucket in self._window_buckets(window_s):
-                for name, n in bucket.counters.items():
-                    merged[name] = merged.get(name, 0) + n
-        return merged
-
-    def window_sketch(self, name: str, window_s: int) -> QuantileSketch:
-        """Sketch *name* merged over the trailing *window_s* seconds."""
-        merged = QuantileSketch()
-        with self._lock:
-            self._flush_locked()
-            for bucket in self._window_buckets(window_s):
-                sketch = bucket.sketches.get(name)
-                if sketch is not None:
-                    merged.merge(sketch)
-        return merged
-
-    def series(self, name: str, seconds: int = 60) -> list[int]:
-        """Per-second values of counter *name*, oldest to newest.
-
-        Exactly *seconds* entries ending at the current second; seconds
-        with no bucket (idle or reclaimed) read as zero.
-        """
-        seconds = min(seconds, self.window_s)
-        with self._lock:
-            self._flush_locked()
-            now = int(self._clock())
-            by_second = {bucket.second: bucket.counters.get(name, 0)
-                         for bucket in self._ring if bucket is not None}
-        return [by_second.get(second, 0)
-                for second in range(now - seconds + 1, now + 1)]
-
-    def bucket_count(self) -> int:
-        """Occupied ring slots (bounded by ``window_s`` forever)."""
-        with self._lock:
-            self._flush_locked()
-            return sum(1 for bucket in self._ring if bucket is not None)
-
-    def absorb(self, other: "RollingWindow") -> None:
-        """Fold *other* into this window (totals, sketches, buckets).
-
-        Used to retire the shard of a finished thread: *other* must
-        have no live writers and share this window's ``window_s``.
-        Buckets merge second-by-second; where both rings hold the same
-        second the counts add, where they disagree the newer second
-        wins — exactly what the stamp filter would have kept.
-        """
-        if other.window_s != self.window_s:
-            raise ValueError("cannot absorb a differently-sized window")
-        with other._lock:
-            other._flush_locked()
-        with self._lock:
-            self._flush_locked()
-            totals = self._totals
-            for name, n in other._totals.items():
-                totals[name] = totals.get(name, 0) + n
-            for name, sketch in other._total_sketches.items():
-                mine = self._total_sketches.get(name)
-                if mine is None:
-                    self._total_sketches[name] = sketch.copy()
-                else:
-                    mine.merge(sketch)
-            for bucket in other._ring:
-                if bucket is None:
-                    continue
-                slot = bucket.second % self.window_s
-                mine = self._ring[slot]
-                if mine is None or mine.second < bucket.second:
-                    fresh = _Bucket(bucket.second)
-                    fresh.counters = dict(bucket.counters)
-                    fresh.sketches = {name: sketch.copy()
-                                      for name, sketch
-                                      in bucket.sketches.items()}
-                    self._ring[slot] = fresh
-                elif mine.second == bucket.second:
-                    counters = mine.counters
-                    for name, n in bucket.counters.items():
-                        counters[name] = counters.get(name, 0) + n
-                    for name, sketch in bucket.sketches.items():
-                        held = mine.sketches.get(name)
-                        if held is None:
-                            mine.sketches[name] = sketch.copy()
-                        else:
-                            held.merge(sketch)
-
-
-class ShardedRollingWindow(_WindowReads):
-    """A rolling window sharded per writer thread.
-
-    A threaded server funnels every request through one lock when all
-    handler threads share a single :class:`RollingWindow`; under a
-    saturating closed loop the convoy on that lock costs more than the
-    metric arithmetic it protects.  Here each thread records into its
-    own private shard — an ordinary :class:`RollingWindow` whose lock
-    is effectively uncontended — and the read side merges shards at
-    snapshot time, which loses nothing because counter addition and
-    sketch merge both commute.
-
-    Shards belonging to finished threads are absorbed into a retired
-    window the next time any thread registers a new shard, so memory
-    is O(window x live threads), not O(window x threads ever started).
-    """
-
-    def __init__(self, *, window_s: int = WINDOWS[-1],
-                 clock=time.monotonic) -> None:
-        if window_s < 1:
-            raise ValueError("window_s must be at least one second")
-        self.window_s = window_s
-        self._clock = clock
-        self._local = threading.local()
-        self._registry_lock = threading.Lock()
-        self._shards: list[tuple[threading.Thread, RollingWindow]] = []
-        self._retired = RollingWindow(window_s=window_s, clock=clock)
-        self._started = clock()
-
-    # -- recording (the armed hot path) ------------------------------------
-
-    def _shard(self) -> RollingWindow:
-        shard = getattr(self._local, "shard", None)
-        if shard is None:
-            shard = RollingWindow(window_s=self.window_s,
-                                  clock=self._clock)
-            with self._registry_lock:
-                live = []
-                for thread, existing in self._shards:
-                    if thread.is_alive():
-                        live.append((thread, existing))
-                    else:
-                        self._retired.absorb(existing)
-                live.append((threading.current_thread(), shard))
-                self._shards = live
-            self._local.shard = shard
-        return shard
-
-    def inc(self, name: str, n: int = 1) -> None:
-        self._shard().inc(name, n)
-
-    def observe(self, name: str, value: float) -> None:
-        self._shard().observe(name, value)
-
-    def record(self, counters: dict[str, int],
-               observations: dict[str, float] | None = None) -> None:
-        self._shard().record(counters, observations)
-
-    def record_hit(self, names: tuple, sized_name: str | None,
-                   size: int, obs_name: str, obs_value: float) -> None:
-        self._shard().record_hit(names, sized_name, size,
-                                 obs_name, obs_value)
-
-    def shard_for_thread(self) -> RollingWindow:
-        """This thread's shard, for callers that cache it.
-
-        The telemetry finish path resolves its shard once per thread
-        (and re-resolves only if the window object changes) instead of
-        paying the ``threading.local`` lookup per request.  Safe to
-        hold: a live thread's shard is never retired, and retirement
-        of dead threads' shards happens via absorb, which folds — it
-        never invalidates.
-        """
-        return self._shard()
-
-    # -- reading (merge the shards) ----------------------------------------
-
-    def _views(self) -> list[RollingWindow]:
-        with self._registry_lock:
-            return [self._retired] + [shard for _, shard in self._shards]
-
-    def uptime_s(self) -> float:
-        return self._clock() - self._started
-
-    def totals(self) -> dict[str, int]:
-        merged: dict[str, int] = {}
-        for view in self._views():
-            for name, n in view.totals().items():
-                merged[name] = merged.get(name, 0) + n
-        return merged
-
-    def total(self, name: str) -> int:
-        return sum(view.total(name) for view in self._views())
-
-    def total_sketch(self, name: str) -> QuantileSketch:
-        merged = QuantileSketch()
-        for view in self._views():
-            merged.merge(view.total_sketch(name))
-        return merged
-
-    def sketch_names(self) -> list[str]:
-        names: set[str] = set()
-        for view in self._views():
-            names.update(view.sketch_names())
-        return sorted(names)
-
-    def window_counters(self, window_s: int) -> dict[str, int]:
-        merged: dict[str, int] = {}
-        for view in self._views():
-            for name, n in view.window_counters(window_s).items():
-                merged[name] = merged.get(name, 0) + n
-        return merged
-
-    def window_sketch(self, name: str, window_s: int) -> QuantileSketch:
-        merged = QuantileSketch()
-        for view in self._views():
-            merged.merge(view.window_sketch(name, window_s))
-        return merged
-
-    def series(self, name: str, seconds: int = 60) -> list[int]:
-        seconds = min(seconds, self.window_s)
-        merged = [0] * seconds
-        for view in self._views():
-            for index, value in enumerate(view.series(name, seconds)):
-                merged[index] += value
-        return merged
-
-    def bucket_count(self) -> int:
-        return sum(view.bucket_count() for view in self._views())
-
-    def shard_count(self) -> int:
-        """Live shards plus the retired accumulator (introspection)."""
-        with self._registry_lock:
-            return len(self._shards) + 1

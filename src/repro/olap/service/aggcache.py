@@ -10,8 +10,7 @@ The cache does not import the server's telemetry (the server imports
 *us*): :meth:`AggregateCache.entry` returns an *outcome* string
 (``"hit"``/``"executed"``/``"coalesced"``/``"stale"``) and the HTTP
 layer translates outcomes into request flags and response headers.
-Local counters power ``/olap/<model>/stats`` with the obs recorder
-off; ``olap.cache.*`` counters mirror them when profiling.
+Its stats power ``/olap/<model>/stats``.
 """
 
 from __future__ import annotations
@@ -54,15 +53,9 @@ class AggregateCache(CoalescingCache):
     """Content-hash keyed cache of :class:`AggregateEntry` objects."""
 
     BUILDS = "executions"
-    _COUNTER = {"hits": "olap.cache.hit",
-                "executions": "olap.cache.execute",
-                "coalesced": "olap.cache.coalesced",
-                "failures": "olap.cache.failure",
-                "stale_served": "olap.cache.stale_served",
-                "shed": "olap.cache.shed",
-                "invalidations": "olap.cache.invalidation",
-                "disk_hits": "olap.cache.disk_hit",
-                "disk_stores": "olap.cache.disk_store"}
+    STATS = ("hits", "executions", "coalesced", "failures",
+             "stale_served", "shed", "invalidations", "disk_hits",
+             "disk_stores")
 
     def __init__(self, *, max_concurrent_executions: int | None = None,
                  execute_wait_s: float | None = None) -> None:

@@ -37,7 +37,7 @@ Every response additionally carries an ``X-Goldcase-Request-Id``
 header (DESIGN.md §15): minted per request, or adopted from the
 client's header so one logical request keeps its identity across
 retries.  The telemetry layer brackets :meth:`ModelRepositoryApp
-.handle` and is on by default; ``GOLDCASE_NO_TELEMETRY=1`` disables it.
+.handle` and is on by default.
 """
 
 from __future__ import annotations
@@ -191,8 +191,6 @@ class ModelRepositoryApp:
         query = {key: values[-1] for key, values in query_lists.items()}
         with self._stats_lock:
             self._requests["total"] += 1
-        if _REC.enabled:
-            _REC.count("server.request")
         ctx = self.telemetry.begin(
             method, parsed.path,
             client_id=headers.get(REQUEST_ID_HEADER.lower()))
@@ -213,17 +211,20 @@ class ModelRepositoryApp:
                     response = self._shed(exc)
                 except QueryRenderError as exc:
                     response = _error(500, str(exc), kind="olap")
-        except BaseException:
+        except BaseException as exc:
             # Whatever escapes (a transport bug, KeyboardInterrupt) must
             # not leave a stale context pinned to this pooled thread.
+            # The transport answers it with a 500 of its own: this is
+            # the request's one count and log line, and the id rides on
+            # the exception so that 500 carries it.
             if ctx is not None:
+                mark("transport_error")
                 self.telemetry.finish(ctx, 500, 0)
+                exc.request_id = ctx.request_id
             raise
         if response.status == 304:
             with self._stats_lock:
                 self._requests["not_modified"] += 1
-            if _REC.enabled:
-                _REC.count("server.not_modified")
             mark("not_modified")
         if ctx is not None:
             response.headers.append((REQUEST_ID_HEADER, ctx.request_id))

@@ -17,8 +17,8 @@ DESIGN.md §11.3) adapted to sites:
   .republish_incremental` when the stored index matches the previous
   entry — diffing the models and re-rendering only dirty pages, reusing
   the previous entry's bytes (and therefore its ETags) for the rest —
-  and falls back to a cold tracked build on any mismatch
-  (``server.site.incremental`` / ``server.site.incremental_fallback``).
+  and falls back to a cold tracked build on any mismatch (the
+  ``incremental`` / ``incremental_fallback`` stats).
 * **Link-checked at build time.**  Every page-producing build runs
   :func:`repro.web.linkcheck.check_site` and stores the report, so the
   ``/health/<model>`` endpoint surfaces broken anchors instead of the
@@ -116,16 +116,9 @@ class SiteCache(CoalescingCache):
 
     BUILDS = "rebuilds"
     FAILURES = "build_failures"
-    _COUNTER = {"hits": "server.site.hit", "rebuilds": "server.site.rebuild",
-                "coalesced": "server.site.coalesced",
-                "invalidations": "server.site.invalidation",
-                "build_failures": "server.site.build_failure",
-                "stale_served": "server.stale_served",
-                "shed": "server.shed",
-                "incremental": "server.site.incremental",
-                "incremental_fallback": "server.site.incremental_fallback",
-                "disk_hits": "server.site.disk_hit",
-                "disk_stores": "server.site.disk_store"}
+    STATS = ("hits", "rebuilds", "coalesced", "invalidations",
+             "build_failures", "stale_served", "shed", "incremental",
+             "incremental_fallback", "disk_hits", "disk_stores")
 
     #: Per-request telemetry flag for each stat (singular forms end up
     #: in access-log lines and windowed counters).

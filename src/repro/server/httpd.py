@@ -89,18 +89,19 @@ class _RepositoryHandler(BaseHTTPRequestHandler):
     max_body_bytes = MAX_BODY_BYTES
 
     def _fail(self, status: int, message: str, *,
-              retry_after: int | None = None) -> None:
+              retry_after: int | None = None,
+              request_id: str | None = None) -> None:
         """A JSON error response that always closes the connection.
 
         Used for transport-level failures (bad framing, timeouts,
         crashed application) where the connection state is no longer
-        trustworthy enough for keep-alive.
+        trustworthy enough for keep-alive.  *request_id* is the id of a
+        request the app already counted and logged.
         """
         body = (json.dumps({"error": message, "kind": "transport"},
                            sort_keys=True) + "\n").encode("utf-8")
-        request_id = None
         app = self.app
-        if app is not None:
+        if request_id is None and app is not None:
             # The app never saw this exchange; record it in telemetry
             # directly so transport rejections still get ids + counters.
             request_id = app.telemetry.transport_event(
@@ -168,7 +169,8 @@ class _RepositoryHandler(BaseHTTPRequestHandler):
                 _REC.count("server.http.app_error")
             self.log_error("application error on %s %s: %r",
                            method, self.path, exc)
-            self._fail(500, "internal server error")
+            self._fail(500, "internal server error",
+                       request_id=getattr(exc, "request_id", None))
             return
         if FAULTS.enabled:
             try:

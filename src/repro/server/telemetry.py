@@ -28,9 +28,9 @@ Wiring:
   global, which is what lets cache code annotate whichever app is
   handling the current thread's request.
 
-Disable with ``GOLDCASE_NO_TELEMETRY=1`` (or ``set_enabled(False)``)
-to benchmark the bare serving path; everything above degrades to a
-single flag check per request.
+Disable with ``set_enabled(False)`` (or ``enabled=False``) to
+benchmark the bare serving path; everything above degrades to a single
+flag check per request.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from time import perf_counter
 
 from ..faults import set_fire_listener
 from ..obs.ids import RequestIdGenerator, is_request_id
-from ..obs.rolling import WINDOWS, ShardedRollingWindow
+from ..obs.rolling import WINDOWS, RollingWindow
 from ..obs.slo import default_slos
 
 __all__ = [
@@ -88,8 +88,8 @@ class _ThreadState:
     touches a lock another thread can hold.
     """
 
-    __slots__ = ("ctx", "counters", "generator", "shard", "shard_window",
-                 "free")
+    __slots__ = ("ctx", "counters", "generator", "buffer",
+                 "buffer_window", "free")
 
     def __init__(self) -> None:
         self.ctx: RequestContext | None = None
@@ -100,12 +100,12 @@ class _ThreadState:
         #: instead of allocating.  Safe because a context's useful life
         #: ends at ``finish`` — nothing in the server holds one after.
         self.free: RequestContext | None = None
-        #: This thread's shard of *shard_window*, cached so the finish
-        #: path skips the sharded window's own thread-local lookup.
+        #: This thread's write buffer of *buffer_window*, cached so the
+        #: finish path skips the window's own thread-local lookup.
         #: Keyed by window identity because one thread can serve many
         #: apps (tests spin servers up and down freely).
-        self.shard = None
-        self.shard_window = None
+        self.buffer = None
+        self.buffer_window = None
 
 
 def _state() -> _ThreadState:
@@ -221,26 +221,12 @@ class ServerTelemetry:
         "disk_store": "cache.disk_store",
     }
 
-    def __init__(self, *, enabled: bool | None = None,
-                 clock=time.monotonic,
-                 wall_clock=time.time,
-                 id_generator: RequestIdGenerator | None = None,
-                 access_log=None,
-                 slos: list | None = None,
-                 window_s: int = WINDOWS[-1]) -> None:
-        if enabled is None:
-            import os
-
-            enabled = not os.environ.get("GOLDCASE_NO_TELEMETRY")
+    def __init__(self, *, enabled: bool = True, clock=time.monotonic,
+                 access_log=None, slos: list | None = None) -> None:
         self.enabled = enabled
-        # Sharded per handler thread: the armed hot path never waits on
-        # a lock another thread holds (see ShardedRollingWindow).
-        self.window = ShardedRollingWindow(window_s=window_s, clock=clock)
-        self.wall_clock = wall_clock
-        #: None means "mint from a per-thread generator" — the shared
-        #: generator's lock showed up as contention under eight handler
-        #: threads; injected generators (tests) stay shared.
-        self.request_ids = id_generator
+        # Each handler thread writes to a buffer of its own: the armed
+        # hot path never waits on a lock another thread holds.
+        self.window = RollingWindow(clock=clock)
         self.slos = list(slos) if slos is not None else default_slos()
         #: A file-like (``write(str)``) or callable sink for JSON
         #: access-log lines; None disables access logging.
@@ -276,12 +262,12 @@ class ServerTelemetry:
         if client_id is not None and is_request_id(client_id.upper()):
             request_id = client_id.upper()
         else:
-            generator = self.request_ids
+            # Minted per thread: a shared generator's lock showed up as
+            # contention under eight handler threads.
+            generator = state.generator
             if generator is None:
-                generator = state.generator
-                if generator is None:
-                    generator = state.generator = RequestIdGenerator(
-                        clock_ms=_coarse_ms)
+                generator = state.generator = RequestIdGenerator(
+                    clock_ms=_coarse_ms)
             request_id = generator()
         ctx = state.free
         if ctx is None:
@@ -310,7 +296,7 @@ class ServerTelemetry:
         if ctx.faults is None:
             # Fault-free fast path (every request in normal operation):
             # the counter names for this request shape come from one
-            # cache hit, and they land on this thread's shard directly
+            # cache hit, and they land on this thread's buffer directly
             # — no scratch dict, no per-request thread-local lookup.
             key = (status, ctx.flag_bits, ctx.model)
             names = self._hit_names.get(key)
@@ -318,12 +304,12 @@ class ServerTelemetry:
                 names = self._hit_names[key] = self._counter_names(
                     status, ctx.flag_bits, ctx.model)
             window = self.window
-            if state.shard_window is window:
-                shard = state.shard
+            if state.buffer_window is window:
+                buffer = state.buffer
             else:
-                shard = state.shard = window.shard_for_thread()
-                state.shard_window = window
-            shard.record_hit(
+                buffer = state.buffer = window.buffer_for_thread()
+                state.buffer_window = window
+            buffer.record_hit(
                 names, "http.bytes" if response_bytes else None,
                 response_bytes, "http.latency", duration_s)
         else:
@@ -364,7 +350,7 @@ class ServerTelemetry:
     def _log(self, ctx: RequestContext, status: int, response_bytes: int,
              duration_s: float) -> None:
         record = {
-            "ts": round(self.wall_clock(), 6),
+            "ts": round(time.time(), 6),
             "id": ctx.request_id,
             "method": ctx.method,
             "path": ctx.path,
@@ -395,9 +381,10 @@ class ServerTelemetry:
         """Record a transport-level rejection the app never saw.
 
         The httpd layer calls this for 400/408/413/500 responses it
-        fabricates itself (bad framing, stalled bodies, crashed app) so
-        those exchanges still get ids, counters, and access-log lines.
-        Returns the minted id (None when disabled).
+        fabricates itself (bad framing, stalled bodies, an app that
+        raised before its own bracket opened) so those exchanges still
+        get ids, counters, and access-log lines.  Returns the minted id
+        (None when disabled).
         """
         ctx = self.begin(method, path)
         if ctx is None:

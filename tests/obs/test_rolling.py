@@ -6,14 +6,13 @@ double-counting, clock skew must never corrupt a window, and memory
 must stay O(window) regardless of uptime (ISSUE 8 satellite c).
 """
 
+import sys
+import threading
+import time
+
 import pytest
 
-from repro.obs.rolling import (
-    GAMMA,
-    QuantileSketch,
-    RollingWindow,
-    ShardedRollingWindow,
-)
+from repro.obs.rolling import GAMMA, QuantileSketch, RollingWindow
 
 
 class ManualClock:
@@ -196,12 +195,10 @@ class TestSketch:
 
 
 class TestSharded:
-    """Per-thread shards must read exactly like one shared window."""
+    """Per-thread write buffers must read exactly like one shared ring."""
 
     def test_reads_merge_across_threads(self, clock):
-        import threading
-
-        window = ShardedRollingWindow(window_s=60, clock=clock)
+        window = RollingWindow(window_s=60, clock=clock)
 
         def work():
             window.record({"req": 2}, {"lat": 0.004})
@@ -211,7 +208,7 @@ class TestSharded:
             thread.start()
         for thread in threads:
             thread.join()
-        window.inc("req")  # this thread's own shard
+        window.inc("req")  # this thread's own buffer
         assert window.total("req") == 9
         assert window.window_counters(60) == {"req": 9}
         assert window.window_sketch("lat", 60).count == 4
@@ -220,46 +217,116 @@ class TestSharded:
 
     def test_dead_thread_shards_are_retired_without_losing_counts(
             self, clock):
-        import threading
-
-        window = ShardedRollingWindow(window_s=60, clock=clock)
+        window = RollingWindow(window_s=60, clock=clock)
         for _ in range(10):
             thread = threading.Thread(
                 target=lambda: window.inc("req"))
             thread.start()
             thread.join()
-        # Registering one more shard (this thread's) sweeps the dead
-        # ones into the retired accumulator.
+        # Registering one more buffer (this thread's) folds and drops
+        # the dead threads' buffers.
         window.inc("req")
-        assert window.shard_count() <= 3  # retired + survivors + ours
+        assert len(window._buffers) <= 2  # at most a survivor + ours
         assert window.total("req") == 11
         assert window.window_counters(60) == {"req": 11}
 
-    def test_absorb_merges_same_second_buckets(self, clock):
-        a = RollingWindow(window_s=60, clock=clock)
-        b = RollingWindow(window_s=60, clock=clock)
-        a.record({"req": 1}, {"lat": 0.002})
-        b.record({"req": 2}, {"lat": 0.004})
-        a.absorb(b)
-        assert a.total("req") == 3
-        assert a.window_counters(60) == {"req": 3}
-        assert a.window_sketch("lat", 60).count == 2
-        assert a.total_sketch("lat").count == 2
+    def test_fold_into_a_newer_second_reaches_totals_only(self, clock):
+        """A buffer that folds second s after its slot took s + window
+        adds to the totals and leaves the newer bucket intact."""
+        window = RollingWindow(window_s=60, clock=clock)
+        window.buffer_for_thread()  # registered before the stalled one
 
-    def test_absorb_rejects_mismatched_windows(self):
-        with pytest.raises(ValueError):
-            RollingWindow(window_s=60).absorb(RollingWindow(window_s=30))
+        def stalled():
+            # Second 1000, still pending in the buffer when this dies.
+            window.record({"req": 1}, {"lat": 0.002})
+
+        thread = threading.Thread(target=stalled)
+        thread.start()
+        thread.join()
+        clock.tick(60)  # second 1060 takes the stalled second's slot
+        window.record({"req": 5}, {"lat": 0.004})
+        clock.tick(1)
+        window.inc("other")  # rolls this buffer: 1060 folds first
+        # The read folds the dead thread's second 1000 last.
+        assert window.total("req") == 6
+        assert window.total_sketch("lat").count == 2
+        assert window.window_counters(60) == {"req": 5, "other": 1}
+        assert window.window_sketch("lat", 60).count == 1
+        assert window.series("req", 3) == [0, 5, 0]
 
     def test_snapshot_shape_matches_plain_window(self, clock):
-        window = ShardedRollingWindow(window_s=60, clock=clock)
+        window = RollingWindow(window_s=60, clock=clock)
         window.record({"req": 1}, {"lat": 0.002})
         snap = window.snapshot(windows=(60,))
         assert snap["totals"] == {"req": 1}
         assert snap["windows"]["60"]["sketches"]["lat"]["count"] == 1
 
 
+class TestOneRingUnderConcurrency:
+    """Writers, dying threads and a reader share one ring while the
+    clock rolls; nothing is lost, nothing counts twice, and totals
+    never step backwards."""
+
+    WRITERS = 6
+    WRITES = 30000
+
+    def test_threaded_writes_fold_exactly_once(self, clock):
+        window = RollingWindow(window_s=60, clock=clock)
+        names = ("req", "http.status.2xx")
+        stop = threading.Event()
+        regressions: list[tuple[int, int]] = []
+
+        def writer():
+            for _ in range(self.WRITES):
+                window.record_hit(names, "bytes", 3, "lat", 0.002)
+
+        def short_lived():
+            # Dies with this write pending in its buffer.
+            window.record_hit(names, None, 0, "lat", 0.0)
+
+        def reader():
+            last = 0
+            while not stop.is_set():
+                total = window.total("req")
+                if total < last:
+                    regressions.append((last, total))
+                last = total
+                window.window_counters(60)
+                window.series("req", 60)
+
+        writers = [threading.Thread(target=writer)
+                   for _ in range(self.WRITERS)]
+        reading = threading.Thread(target=reader)
+        deaths = 0
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in writers + [reading]:
+                thread.start()
+            deadline = time.monotonic() + 60
+            while any(thread.is_alive() for thread in writers) \
+                    and time.monotonic() < deadline:
+                clock.tick(0.5)
+                dying = threading.Thread(target=short_lived)
+                dying.start()
+                dying.join(timeout=10)
+                deaths += 1
+            for thread in writers:
+                thread.join(timeout=10)
+            stop.set()
+            reading.join(timeout=10)
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in writers + [reading])
+        expected = self.WRITERS * self.WRITES + deaths
+        assert window.total("req") == expected
+        assert window.total("http.status.2xx") == expected
+        assert window.total("bytes") == 3 * self.WRITERS * self.WRITES
+        assert window.total_sketch("lat").count == expected
+        assert regressions == []
+
+
 def test_window_rejects_zero_length():
     with pytest.raises(ValueError):
         RollingWindow(window_s=0)
-    with pytest.raises(ValueError):
-        ShardedRollingWindow(window_s=0)

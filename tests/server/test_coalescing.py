@@ -8,7 +8,6 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.mdm import model_to_xml, sales_model, two_facts_model
-from repro.obs.recorder import RECORDER
 from repro.server import ModelRepositoryApp
 from repro.server import cache as cache_module
 
@@ -100,30 +99,26 @@ class TestCoalescing:
             assert slow.result(timeout=10).status == 200
 
 
+def _not_modified(app) -> int:
+    return app.handle("GET", "/stats").json["requests"]["not_modified"]
+
+
 class TestObsCounters:
     def test_counters_prove_coalescing(self, app):
-        """The acceptance-criteria signal: obs counters record exactly
-        one rebuild for a burst of concurrent clients."""
-        RECORDER.enable(clear=True)
-        try:
-            _hammer(app, "/site/sales/index.html")
-            snapshot = RECORDER.snapshot()
-        finally:
-            RECORDER.disable()
-        counters = snapshot.counters
-        assert counters.get("server.site.rebuild", 0) == 1
-        assert counters.get("server.request", 0) == CLIENTS
-        served_without_build = (counters.get("server.site.hit", 0)
-                                + counters.get("server.site.coalesced", 0))
+        """The acceptance-criteria signal: the cache's stats record
+        exactly one rebuild for a burst of concurrent clients."""
+        before, requests_before = app.cache.stats(), app.request_count()
+        _hammer(app, "/site/sales/index.html")
+        after, requests_after = app.cache.stats(), app.request_count()
+        assert after["rebuilds"] - before["rebuilds"] == 1
+        assert requests_after - requests_before == CLIENTS
+        served_without_build = (after["hits"] - before["hits"]
+                                + after["coalesced"] - before["coalesced"])
         assert served_without_build == CLIENTS - 1
 
     def test_not_modified_counter(self, app):
         etag = app.handle("GET", "/site/sales/index.html").header("ETag")
-        RECORDER.enable(clear=True)
-        try:
-            app.handle("GET", "/site/sales/index.html",
-                       {"If-None-Match": etag})
-            snapshot = RECORDER.snapshot()
-        finally:
-            RECORDER.disable()
-        assert snapshot.counters.get("server.not_modified") == 1
+        before = _not_modified(app)
+        app.handle("GET", "/site/sales/index.html",
+                   {"If-None-Match": etag})
+        assert _not_modified(app) - before == 1

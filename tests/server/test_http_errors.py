@@ -217,6 +217,39 @@ class TestApplicationCrash:
             finally:
                 connection.close()
 
+    def test_crashed_request_is_counted_and_logged_once(self, monkeypatch):
+        """A handler that raises gives one request, one 5xx and one
+        access-log line, whose id is the one the client receives."""
+        app = ModelRepositoryApp()
+        log: list[str] = []
+        app.telemetry.access_log = log.append
+
+        def crash(*args, **kwargs):
+            raise RuntimeError("handler bug")
+
+        monkeypatch.setattr(app, "_route", crash)
+        with ModelServer(app) as server:
+            connection = http.client.HTTPConnection(
+                server.host, server.port, timeout=10)
+            try:
+                connection.request("GET", "/models")
+                response = connection.getresponse()
+                body = response.read()
+            finally:
+                connection.close()
+        assert response.status == 500
+        assert response.getheader("Connection") == "close"
+        assert json.loads(body) == {"error": "internal server error",
+                                    "kind": "transport"}
+        window = app.telemetry.window
+        assert window.total("http.requests") == 1
+        assert window.total("http.status.5xx") == 1
+        assert len(log) == 1
+        line = json.loads(log[0])
+        assert line["id"] == response.getheader("X-Goldcase-Request-Id")
+        assert (line["method"], line["path"], line["status"]) \
+            == ("GET", "/models", 500)
+
     def test_unabsorbed_fault_is_a_clean_500(self, server):
         """A store.put fault has no degradation path: the response is
         the app layer's JSON 500, keep-alive preserved."""

@@ -251,11 +251,6 @@ class TestDisabled:
         assert response.header("X-Goldcase-Request-Id") is None
         assert app.telemetry.window.totals() == {}
 
-    def test_env_var_disables(self, monkeypatch):
-        monkeypatch.setenv("GOLDCASE_NO_TELEMETRY", "1")
-        telemetry = ServerTelemetry()
-        assert not telemetry.enabled
-
     def test_set_enabled_flips_live(self, app):
         app.telemetry.set_enabled(False)
         assert app.handle(

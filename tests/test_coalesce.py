@@ -35,9 +35,8 @@ KEYS = (("a", 1), ("a", 2), ("b", 1))
 
 
 class DictCache(CoalescingCache):
-    _COUNTER = {stat: f"test.{stat}" for stat in (
-        "hits", "builds", "coalesced", "failures", "stale_served", "shed",
-        "invalidations", "disk_hits", "disk_stores")}
+    STATS = ("hits", "builds", "coalesced", "failures", "stale_served",
+             "shed", "invalidations", "disk_hits", "disk_stores")
 
     @staticmethod
     def _size(entry) -> int:
@@ -60,7 +59,7 @@ class CacheMachine(RuleBasedStateMachine):
         self.failed: set[tuple] = set()
         #: (key, hash) pairs built since their model's last invalidation.
         self.built: set[tuple] = set()
-        self.counts = dict.fromkeys(DictCache._COUNTER, 0)
+        self.counts = dict.fromkeys(DictCache.STATS, 0)
 
     @rule(key=st.sampled_from(KEYS))
     def new_content_hash(self, key):
