@@ -26,9 +26,10 @@ Every command accepts ``--profile [PATH]`` / ``--trace [PATH]``
 (observability, DESIGN.md §10): both enable the engine's recorder and
 write a schema-versioned ``trace.json`` (to PATH when given);
 ``--profile`` additionally prints a plain-text profile to stderr, and a
-profiled ``publish`` drops an HTML profile page into the site.  Place
-them after the positional arguments (or use ``--profile=PATH``), since
-the optional PATH is greedy.
+profiled ``publish`` drops an HTML profile page into the site;
+``serve`` takes them only with ``--workers 1``.  Place them after the
+positional arguments (or use ``--profile=PATH``), since the optional
+PATH is greedy.
 """
 
 from __future__ import annotations
@@ -247,7 +248,8 @@ def _load_model(path: str):
 
 
 def _load_previous_build(directory: str):
-    """(index, pages) reloaded from a published site directory, or None.
+    """(index, pages) reloaded from a published site directory, or None
+    when it holds no index :meth:`DependencyIndex.from_json` accepts.
 
     Missing pages are simply omitted — :func:`republish_incremental`
     notices and falls back to a full publish (reason ``missing_page``).
@@ -280,6 +282,12 @@ def main(argv: list[str] | None = None) -> int:
     trace_to = getattr(args, "trace", None)
     if profile is None and trace_to is None:
         return _run(args)
+    if args.command == "serve" and args.workers > 1:
+        # Each forked worker records into its own copy of the recorder
+        # and leaves without writing it, so the trace would hold no
+        # request.
+        print("--profile/--trace require --workers 1", file=sys.stderr)
+        return 2
 
     from ..obs import RECORDER, build_trace, text_report, write_trace
 

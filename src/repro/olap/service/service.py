@@ -70,6 +70,8 @@ class OlapService:
         self._meta_lock = threading.Lock()
         #: (name, seed) → (content_hash, star).
         self._stars: dict[tuple[str, int], tuple[str, StarSchema]] = {}
+        #: (name, seed) → its generation lock, created on first use and
+        #: never dropped.
         self._star_locks: dict[tuple[str, int], threading.Lock] = {}
         self._star_stats = {"hits": 0, "generations": 0}
 
@@ -245,11 +247,21 @@ class OlapService:
         return stats
 
     def invalidate(self, name: str) -> int:
-        """Drop the datasets and materializations of one model."""
+        """Drop the datasets and materializations of one model; returns
+        how many.
+
+        Datasets follow the invalidation rule of the aggregate cache
+        (DESIGN.md §11.3): each goes under its key's lock, so a
+        generation in flight finishes first and never stores its
+        dataset after the drop, and the lock stays, so a request sent
+        after the drop never generates beside one still running.
+        """
         removed = self.cache.invalidate(name)
         with self._meta_lock:
-            for key in [k for k in self._stars if k[0] == name]:
-                del self._stars[key]
-            for key in [k for k in self._star_locks if k[0] == name]:
-                del self._star_locks[key]
+            keys = [key for key in self._star_locks if key[0] == name]
+        for key in keys:
+            with self._star_lock(key):
+                with self._meta_lock:
+                    if self._stars.pop(key, None) is not None:
+                        removed += 1
         return removed

@@ -92,21 +92,10 @@ class BuildStore:
         for sub in ("site", "olap", "models", "models/blobs",
                     "locks", "fleet"):
             os.makedirs(os.path.join(self.root, sub), exist_ok=True)
-        self._stats_lock = threading.Lock()
-        self._stats = {"site_loads": 0, "site_misses": 0, "site_stores": 0,
-                       "agg_loads": 0, "agg_misses": 0, "agg_stores": 0,
-                       "lock_acquires": 0}
         #: Fallback when flock is unavailable: per-path in-process locks
         #: (coalesces within one process, which is all there is then).
         self._local_locks: dict[str, threading.Lock] = {}
-
-    def _bump(self, stat: str) -> None:
-        with self._stats_lock:
-            self._stats[stat] += 1
-
-    def stats(self) -> dict:
-        with self._stats_lock:
-            return dict(self._stats)
+        self._local_locks_lock = threading.Lock()
 
     # -- cross-process locks ----------------------------------------------
 
@@ -122,17 +111,15 @@ class BuildStore:
         path = os.path.join(self.root, "locks",
                             f"{kind}-{_key_digest(key)}.lock")
         if fcntl is None:  # pragma: no cover - non-POSIX platforms
-            with self._stats_lock:
+            with self._local_locks_lock:
                 local = self._local_locks.setdefault(
                     path, threading.Lock())
             with local:
-                self._bump("lock_acquires")
                 yield
             return
         handle = open(path, "a+b")
         try:
             fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-            self._bump("lock_acquires")
             yield
         finally:
             # Closing drops the flock atomically with the fd.
@@ -178,7 +165,6 @@ class BuildStore:
         _atomic_write(path, (json.dumps(payload, sort_keys=True,
                                         separators=(",", ":"))
                              + "\n").encode("utf-8"))
-        self._bump("site_stores")
         return True
 
     def load_site(self, record: ModelRecord, variant: str):
@@ -194,11 +180,9 @@ class BuildStore:
             with open(path, "rb") as handle:
                 payload = json.loads(handle.read().decode("utf-8"))
         except (OSError, ValueError):
-            self._bump("site_misses")
             return None
         if payload.get("version") != ARTIFACT_VERSION or \
                 payload.get("content_hash") != record.content_hash:
-            self._bump("site_misses")
             return None
         report_data = payload.get("link_report")
         report = None
@@ -210,7 +194,6 @@ class BuildStore:
                                 for pair in report_data["broken_anchors"]],
                 orphans=list(report_data["orphans"]),
                 total_links=report_data["total_links"])
-        self._bump("site_loads")
         return SiteEntry(
             name=record.name, variant=variant,
             content_hash=record.content_hash, revision=record.revision,
@@ -251,7 +234,6 @@ class BuildStore:
         _atomic_write(path, (json.dumps(payload, sort_keys=True,
                                         separators=(",", ":"))
                              + "\n").encode("utf-8"))
-        self._bump("agg_stores")
         return True
 
     def load_aggregate(self, name: str, content_hash: str, seed: int,
@@ -268,14 +250,11 @@ class BuildStore:
             with open(path, "rb") as handle:
                 payload = json.loads(handle.read().decode("utf-8"))
         except (OSError, ValueError):
-            self._bump("agg_misses")
             return None
         if payload.get("version") != ARTIFACT_VERSION or \
                 payload.get("content_hash") != content_hash or \
                 payload.get("query_key") != query_key:
-            self._bump("agg_misses")
             return None
-        self._bump("agg_loads")
         return AggregateEntry(
             name=name, content_hash=content_hash, seed=seed,
             query_key=query_key,

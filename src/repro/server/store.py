@@ -148,8 +148,7 @@ class ModelStore:
                 "message": str(exc), "path": "", "line": None,
                 "column": None, "severity": "error",
                 "code": "xml-parse"}]) from exc
-        with _REC.span("server.validate", model=name):
-            report = xsd_validate(document, self._gold_schema())
+        report = xsd_validate(document, self._gold_schema())
         if not report.valid:
             raise ModelStoreError(
                 "schema", [_issue_dict(issue) for issue in report.errors])

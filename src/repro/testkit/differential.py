@@ -263,11 +263,12 @@ def incremental_differential(model, edits: Sequence[tuple[str, int, int, int]]
     single page that is stale-but-plausible poisons every later step —
     exactly how a CASE tool session would compound the bug.  Odd steps
     round-trip the index through its JSON form first — the dotfile
-    scenario — so both diff paths run in every script: the in-memory
-    model diff (with its in-place DOM patching) on even steps, the
-    serialized-baseline document diff on odd ones.  The first record
-    for a step names the edit and the diverging page, which is the
-    whole reproducer: ``(seed, iteration, step)`` replays it.
+    scenario — so every script runs both baselines the model diff can
+    start from: the chained model with its DOM patched in place on even
+    steps, the model rebuilt from the stored XML on odd ones.  The
+    first record for a step names the edit and the diverging page,
+    which is the whole reproducer: ``(seed, iteration, step)`` replays
+    it.
     """
     from ..web.incremental import (
         DependencyIndex,

@@ -14,17 +14,18 @@ module makes republish cost proportional to the edit:
    alongside the build (a ``.goldcase-index.json`` dotfile on disk, an
    in-memory entry keyed by content hash in the server cache).
 
-2. :func:`republish_incremental` diffs the stored baseline document
-   against the edited model (:mod:`repro.xml.diff`), classifies the
-   changed elements into dirty units, and re-renders only the pages
-   whose recorded units intersect them.  The render runs with a *page
-   filter*: the engines skip the body of every clean ``xsl:document``
-   (while still recording its href), so the spine plus dirty pages are
-   produced and every clean page reuses the previous build's bytes.
+2. :func:`republish_incremental` compares the index's baseline model
+   with the edited one, unit by unit, and re-renders only the pages
+   whose recorded units intersect the dirty ones.  An index reloaded
+   from its dotfile rebuilds that model from the XML it stored.  The
+   render runs with a *page filter*: the engines skip the body of
+   every clean ``xsl:document`` (while still recording its href), so
+   the spine plus dirty pages are produced and every clean page reuses
+   the previous build's bytes.
 
 Byte-identity to a cold publish is the contract — proven continuously by
 the ``incremental_differential`` testkit family — and every situation
-the diff/index machinery cannot prove safe falls back to a full
+the diff and the index cannot prove safe falls back to a full
 (re-tracked) publish, counted under
 ``publish.incremental.fallback:reason=...``:
 
@@ -35,7 +36,6 @@ the diff/index machinery cannot prove safe falls back to a full
 * ``missing_page`` — the previous build lacks a page the index names;
 * ``structural`` — a whole unit was added or removed (the page set
   itself changes);
-* ``diff_error`` — the documents cannot be diffed;
 * ``page_set_changed`` — the filtered render encountered a different
   set of ``xsl:document`` hrefs than the previous build (tracking
   soundness guard);
@@ -54,18 +54,20 @@ import threading
 from dataclasses import fields as dataclass_fields
 
 from ..faults import FAULTS, fault_point
+from ..mdm.errors import ModelError
 from ..mdm.model import GoldModel
 from ..mdm.xml_io import (
     _write_cube,
     _write_dimension,
     _write_fact,
     _write_level,
+    document_to_model,
     model_to_document,
 )
+from ..xml.errors import XMLError
 from ..xml.serializer import pretty_print
 from ..obs.recorder import RECORDER as _REC
 from ..xml import tracking as _tracking
-from ..xml.diff import DiffError, DocumentDiff, diff_documents
 from ..xml.dom import Document, Element
 from ..xml.parser import parse as parse_xml
 from .publisher import (
@@ -127,62 +129,49 @@ def _hash_text(text: str) -> str:
 class DependencyIndex:
     """Page-level dependency index persisted alongside a build.
 
-    The baseline the next edit diffs against is carried in whichever
-    form the producer already holds — the :class:`GoldModel` itself
-    (server steady state), the baseline DOM, or the serialized XML (an
-    index reloaded from the dotfile) — and each of the other forms is
-    derived lazily and cached.  Serializing or parsing the baseline
-    eagerly would cost several times a warm publish per rebuild and
-    erase the incremental speedup.
+    The index holds the :class:`GoldModel` it was recorded for: the
+    baseline the next edit is compared with.  Its DOM and its XML are
+    caches, derived on first use — serializing or rebuilding the
+    baseline eagerly would cost several times a warm publish per
+    rebuild and erase the incremental speedup.
     """
 
-    __slots__ = ("stylesheet_hash", "pages", "page_names", "page_hashes",
-                 "version", "_model_xml", "_baseline", "_baseline_model")
+    __slots__ = ("stylesheet_hash", "baseline_model", "pages", "page_names",
+                 "page_hashes", "version", "_model_xml", "_baseline")
 
-    def __init__(self, stylesheet_hash: str, model_xml: str | None = None,
-                 pages: dict[str, list[str]] | None = None,
-                 page_names: list[str] | None = None,
-                 page_hashes: dict[str, str] | None = None,
+    def __init__(self, stylesheet_hash: str, baseline_model: GoldModel,
+                 pages: dict[str, list[str]], page_names: list[str],
+                 page_hashes: dict[str, str],
                  version: int = INDEX_VERSION, *,
                  baseline_document: Document | None = None,
-                 baseline_model: GoldModel | None = None) -> None:
-        if model_xml is None and baseline_model is None:
-            raise ValueError(
-                "DependencyIndex needs model_xml or baseline_model")
+                 model_xml: str | None = None) -> None:
         #: sha256 of the stylesheet text the build used.
         self.stylesheet_hash = stylesheet_hash
+        #: the model the build was published from.
+        self.baseline_model = baseline_model
         #: page name → sorted unit keys it read ("index.html" = spine).
-        self.pages = pages if pages is not None else {}
+        self.pages = pages
         #: every rendered html page of the build (includes index.html,
         #: excludes gold.css and the additive profile page).
-        self.page_names = page_names if page_names is not None else []
+        self.page_names = page_names
         #: page name → sha256 of its text, for verifying reused bytes.
-        self.page_hashes = page_hashes if page_hashes is not None else {}
+        self.page_hashes = page_hashes
         self.version = version
         self._model_xml = model_xml
         self._baseline = baseline_document
-        self._baseline_model = baseline_model
 
     @property
     def model_xml(self) -> str:
         """The baseline model serialized to XML, derived on first use."""
         if self._model_xml is None:
             self._model_xml = pretty_print(
-                model_to_document(self._baseline_model))
+                model_to_document(self.baseline_model))
         return self._model_xml
 
-    @property
-    def content_hash(self) -> str:
-        """Identity of the baseline model this index was recorded for."""
-        return _hash_text(self.model_xml)
-
     def baseline_document(self) -> Document:
-        """The baseline model as a DOM, parsed or rebuilt at most once."""
+        """The baseline model as a DOM, built at most once."""
         if self._baseline is None:
-            if self._baseline_model is not None:
-                self._baseline = model_to_document(self._baseline_model)
-            else:
-                self._baseline = parse_xml(self.model_xml)
+            self._baseline = model_to_document(self.baseline_model)
         return self._baseline
 
     def _take_baseline(self) -> Document | None:
@@ -214,6 +203,15 @@ class DependencyIndex:
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "DependencyIndex":
+        """Reload an index, rebuilding its baseline model from the XML.
+
+        The pages on disk were rendered from the document of
+        ``model_xml``, and a unit's subtree is a pure function of its
+        model object, so the rebuilt model is a sound baseline only if
+        it serializes back to exactly that XML.  Raises ValueError
+        when ``model_xml`` does not parse, does not convert to a model,
+        or does not re-serialize to itself.
+        """
         data = json.loads(text)
         if not isinstance(data, dict) or \
                 data.get("format") != "goldcase-dependency-index":
@@ -221,14 +219,24 @@ class DependencyIndex:
         if data.get("version") != INDEX_VERSION:
             raise ValueError(
                 f"unsupported dependency-index version {data.get('version')!r}")
+        model_xml = data["model_xml"]
+        if not isinstance(model_xml, str):
+            raise ValueError("model_xml is not a string")
+        try:
+            model = document_to_model(parse_xml(model_xml))
+        except (XMLError, ModelError) as exc:
+            raise ValueError(f"model_xml is not a goldmodel: {exc}") from exc
+        if pretty_print(model_to_document(model)) != model_xml:
+            raise ValueError("model_xml does not re-serialize to itself")
         return cls(
             stylesheet_hash=data["stylesheet_hash"],
-            model_xml=data["model_xml"],
+            baseline_model=model,
             pages={name: list(units)
                    for name, units in data["pages"].items()},
             page_names=list(data["page_names"]),
             page_hashes=dict(data.get("page_hashes", {})),
             version=data["version"],
+            model_xml=model_xml,
         )
 
 
@@ -240,60 +248,35 @@ class _Fallback(Exception):
         self.reason = reason
 
 
-def _contains_unit(element: Element) -> bool:
-    """True when *element* is, or contains, a whole dependency unit."""
-    stack = [element]
-    while stack:
-        node = stack.pop()
-        if node.name in UNIT_TAGS:
-            return True
-        stack.extend(c for c in node.children if isinstance(c, Element))
-    return False
+def _page_units(tracker: "_tracking.ReadTracker", name: str) -> list[str]:
+    """The sorted units page *name* read during a tracked render."""
+    units = tracker.deps.get("" if name == "index.html" else name)
+    # A page with no recorded reads can never be dirtied; depend on the
+    # catch-all unit so it is conservatively always republished.
+    return sorted(units) if units else [MODEL_UNIT]
 
 
 def build_index(tracker: "_tracking.ReadTracker", page_names: list[str],
                 page_hashes: dict[str, str], *, stylesheet: str,
                 baseline_model: GoldModel,
-                baseline_document: Document | None = None,
-                model_xml: str | None = None) -> DependencyIndex:
+                baseline_document: Document | None = None
+                ) -> DependencyIndex:
     """Assemble a :class:`DependencyIndex` from a tracked publish.
 
     ``page_names`` are the rendered html pages; ``page_hashes`` their
     unquoted sha256 text hashes (the server derives them from its
-    ETags).  ``baseline_model`` is what the next edit diffs against;
-    its XML serialization is derived lazily when needed.  Used by
-    :func:`publish_with_index` and by the server cache, which tracks its
-    full builds itself around its own build function.
+    ETags).  ``baseline_model`` is what the next edit is compared with.
+    Used by :func:`publish_with_index` and by the server cache, which
+    tracks its full builds itself around its own build function.
     """
-    pages: dict[str, list[str]] = {}
-    for name in page_names:
-        key = "" if name == "index.html" else name
-        units = tracker.deps.get(key)
-        # A page with no recorded reads can never be dirtied; depend on
-        # the catch-all unit so it is conservatively always republished.
-        pages[name] = sorted(units) if units else [MODEL_UNIT]
     return DependencyIndex(
         stylesheet_hash=_hash_text(stylesheet),
-        model_xml=model_xml,
-        pages=pages,
+        baseline_model=baseline_model,
+        pages={name: _page_units(tracker, name) for name in page_names},
         page_names=sorted(page_names),
         page_hashes=dict(page_hashes),
         baseline_document=baseline_document,
-        baseline_model=baseline_model,
     )
-
-
-def _index_from_tracker(tracker: "_tracking.ReadTracker", site: Site,
-                        stylesheet: str, baseline_model: GoldModel,
-                        baseline_document: Document | None = None
-                        ) -> DependencyIndex:
-    page_names = sorted(name for name in site.pages
-                        if name.endswith(".html") and name != PROFILE_PAGE)
-    return build_index(
-        tracker, page_names,
-        {name: _hash_text(site.pages[name]) for name in page_names},
-        stylesheet=stylesheet, baseline_model=baseline_model,
-        baseline_document=baseline_document)
 
 
 def publish_with_index(model: GoldModel, *,
@@ -309,8 +292,13 @@ def publish_with_index(model: GoldModel, *,
         with _tracking.installed(tracker):
             site = publish_multi_page(model, stylesheet=stylesheet,
                                       document=document)
-        index = _index_from_tracker(tracker, site, stylesheet, model,
-                                    baseline_document=document)
+        page_names = [name for name in site.pages
+                      if name.endswith(".html") and name != PROFILE_PAGE]
+        index = build_index(
+            tracker, page_names,
+            {name: _hash_text(site.pages[name]) for name in page_names},
+            stylesheet=stylesheet, baseline_model=model,
+            baseline_document=document)
     return site, index
 
 
@@ -344,8 +332,6 @@ def republish_incremental(model: GoldModel,
                             verify_pages)
         except _Fallback as exc:
             reason = exc.reason
-        except DiffError:
-            reason = "diff_error"
         except Exception as exc:  # noqa: BLE001 — counted, then full publish
             reason = f"error:{type(exc).__name__}"
         if _REC.enabled:
@@ -374,39 +360,21 @@ def _attempt(model: GoldModel, previous_pages: dict[str, str],
                     _hash_text(previous_pages[name]) != recorded:
                 raise _Fallback("baseline_mismatch")
 
-    baseline_model = index._baseline_model
-    if baseline_model is not None:
-        # Fast path (server steady state): diff the models directly at
-        # unit granularity — each unit's document subtree is a pure
-        # function of its dataclass, so dataclass inequality
-        # over-approximates subtree inequality (sound, never under-dirty).
-        new_document = None
-        with _REC.span("publish.diff"):
-            dirty_units = _dirty_units_from_models(baseline_model, model)
-        if not dirty_units:
-            return _reuse_everything(previous_pages, index)
-        if MODEL_UNIT not in dirty_units:
-            # Every change lives inside unit subtrees, so the new DOM is
-            # the baseline DOM with just those subtrees regenerated.
-            # Ownership of the baseline transfers here (_take_baseline);
-            # without a materialized baseline the full build below runs.
-            base = index._take_baseline()
-            if base is not None:
-                new_document = _patch_document(base, model, dirty_units)
-        if new_document is None:
-            new_document = model_to_document(model)
-    else:
-        # Slow path (index reloaded from the dotfile): diff the model
-        # documents themselves.
+    with _REC.span("publish.diff"):
+        dirty_units = _dirty_units_from_models(index.baseline_model, model)
+    if not dirty_units:
+        return _reuse_everything(previous_pages, index)
+    new_document = None
+    if MODEL_UNIT not in dirty_units:
+        # Every change lives inside unit subtrees, so the new DOM is the
+        # baseline DOM with just those subtrees regenerated.  Ownership
+        # of the baseline transfers here (_take_baseline); without a
+        # materialized baseline the full build below runs.
+        base = index._take_baseline()
+        if base is not None:
+            new_document = _patch_document(base, model, dirty_units)
+    if new_document is None:
         new_document = model_to_document(model)
-        if pretty_print(new_document) == index.model_xml:
-            return _reuse_everything(previous_pages, index)
-        old_document = index.baseline_document()
-        with _REC.span("publish.diff"):
-            diff = diff_documents(old_document, new_document)
-        if diff.is_empty:
-            return _reuse_everything(previous_pages, index)
-        dirty_units = _dirty_units(diff)
 
     dirty_pages = {
         name for name in index.page_names
@@ -424,39 +392,34 @@ def _attempt(model: GoldModel, previous_pages: dict[str, str],
         raise _Fallback("page_set_changed")
 
     site = Site(messages=list(partial.messages))
+    pages: dict[str, list[str]] = {}
+    page_hashes: dict[str, str] = {}
     reused = 0
     for name in index.page_names:
         if name == "index.html" or name in dirty_pages:
             site.pages[name] = partial.pages[name]
+            pages[name] = _page_units(tracker, name)
+            page_hashes[name] = _hash_text(site.pages[name])
         else:
             site.pages[name] = previous_pages[name]
             reused += 1
-    site.pages["gold.css"] = DEFAULT_CSS
-    if _REC.enabled:
-        _attach_profile(site)
-
-    pages: dict[str, list[str]] = {}
-    page_hashes: dict[str, str] = {}
-    for name in index.page_names:
-        if name == "index.html" or name in dirty_pages:
-            key = "" if name == "index.html" else name
-            units = tracker.deps.get(key)
-            pages[name] = sorted(units) if units else [MODEL_UNIT]
-            page_hashes[name] = _hash_text(site.pages[name])
-        else:
             pages[name] = list(index.pages.get(name) or [MODEL_UNIT])
             # Reused bytes keep their recorded hash (when the old index
             # has none — e.g. hand-edited dotfile — hash them now).
             recorded = index.page_hashes.get(name)
             page_hashes[name] = recorded if recorded is not None else \
                 _hash_text(site.pages[name])
+    site.pages["gold.css"] = DEFAULT_CSS
+    if _REC.enabled:
+        _attach_profile(site)
+
     new_index = DependencyIndex(
         stylesheet_hash=index.stylesheet_hash,
+        baseline_model=model,
         pages=pages,
         page_names=list(index.page_names),
         page_hashes=page_hashes,
         baseline_document=new_document,
-        baseline_model=model,
     )
     if _REC.enabled:
         _REC.count("publish.incremental.pages_rebuilt",
@@ -484,19 +447,6 @@ def _reuse_everything(previous_pages: dict[str, str],
     return site, index, info
 
 
-def _dirty_units(diff: DocumentDiff) -> set[str]:
-    """Classify diff records into dirty units; whole-unit addition or
-    removal changes the page set itself → structural fallback."""
-    dirty: set[str] = set()
-    for record in diff.added + diff.removed:
-        if _contains_unit(record.element):
-            raise _Fallback("structural")
-        dirty.add(classify_node(record.element))
-    for record in diff.changed:
-        dirty.add(classify_node(record.element))
-    return dirty
-
-
 #: Model fields whose contents are covered by finer-grained units below.
 _MODEL_NESTED = frozenset({"facts", "dimensions", "cubes"})
 _DIM_NESTED = frozenset({"levels", "categorization_levels"})
@@ -510,50 +460,47 @@ def _own_fields_differ(old: object, new: object,
                if spec.name not in nested)
 
 
-def _diff_keyed_units(tag: str, old_items: list, new_items: list,
-                      dirty: set[str]) -> None:
-    """Mirror of the document diff over one unit collection: id-set
-    changes are structural, same-id reorders dirty the container's unit
-    (the model), same-id inequality dirties that unit."""
+def _changed_units(old_items: list, new_items: list, container: str,
+                   dirty: set[str]) -> list[tuple]:
+    """The ``(old, new)`` pairs of same-id units that differ.
+
+    A changed id set (or a duplicate id) changes the page set itself:
+    the ``structural`` fallback.  Same-id units in another order dirty
+    *container*, the unit their container element classifies to.
+    """
     old_map = {item.id: item for item in old_items}
     new_map = {item.id: item for item in new_items}
     if set(old_map) != set(new_map) or len(old_map) != len(old_items) \
             or len(new_map) != len(new_items):
         raise _Fallback("structural")
     if [item.id for item in old_items] != [item.id for item in new_items]:
-        dirty.add(MODEL_UNIT)
-    for key, item in new_map.items():
-        if old_map[key] != item:
-            dirty.add(f"{tag}#{key}")
+        dirty.add(container)
+    return [(old_map[key], item) for key, item in new_map.items()
+            if old_map[key] is not item and old_map[key] != item]
 
 
 def _dirty_units_from_models(old: GoldModel, new: GoldModel) -> set[str]:
-    """Dirty units straight from the model dataclasses (no DOM, no
-    parse).  Equivalent to ``_dirty_units(diff_documents(...))`` because
-    each unit's document subtree is a pure function of its dataclass;
-    where the two disagree this one only *over*-dirties (e.g. a field
-    the serializer normalizes away), which costs a rebuild, never a
-    stale byte."""
+    """The units whose document subtree may differ between two models.
+
+    Sound because each unit's subtree is a pure function of its
+    dataclass: dataclass inequality over-approximates subtree
+    inequality, so a unit can be over-dirtied (e.g. a field the
+    serializer normalizes away), which costs a rebuild, but never
+    under-dirtied, which would leave a stale byte.
+    """
     dirty: set[str] = set()
     if _own_fields_differ(old, new, _MODEL_NESTED):
         dirty.add(MODEL_UNIT)
-    _diff_keyed_units("factclass", old.facts, new.facts, dirty)
-    _diff_keyed_units("cubeclass", old.cubes, new.cubes, dirty)
-
-    old_dims = {dim.id: dim for dim in old.dimensions}
-    new_dims = {dim.id: dim for dim in new.dimensions}
-    if set(old_dims) != set(new_dims) or \
-            len(old_dims) != len(old.dimensions) or \
-            len(new_dims) != len(new.dimensions):
-        raise _Fallback("structural")
-    if [d.id for d in old.dimensions] != [d.id for d in new.dimensions]:
-        dirty.add(MODEL_UNIT)
-    for key, new_dim in new_dims.items():
-        old_dim = old_dims[key]
-        if old_dim is new_dim or old_dim == new_dim:
-            continue
+    for tag, old_items, new_items in (("factclass", old.facts, new.facts),
+                                      ("cubeclass", old.cubes, new.cubes)):
+        for _, item in _changed_units(old_items, new_items, MODEL_UNIT,
+                                      dirty):
+            dirty.add(f"{tag}#{item.id}")
+    for old_dim, new_dim in _changed_units(old.dimensions, new.dimensions,
+                                           MODEL_UNIT, dirty):
+        unit = f"dimclass#{new_dim.id}"
         if _own_fields_differ(old_dim, new_dim, _DIM_NESTED):
-            dirty.add(f"dimclass#{key}")
+            dirty.add(unit)
         # Levels are units nested inside the dimension's subtree: the
         # level containers (asoclevels/catlevels) classify to the
         # dimension, the level elements to themselves.
@@ -561,18 +508,9 @@ def _dirty_units_from_models(old: GoldModel, new: GoldModel) -> set[str]:
                 ("asoclevel", old_dim.levels, new_dim.levels),
                 ("catlevel", old_dim.categorization_levels,
                  new_dim.categorization_levels)):
-            old_map = {lvl.id: lvl for lvl in old_levels}
-            new_map = {lvl.id: lvl for lvl in new_levels}
-            if set(old_map) != set(new_map) or \
-                    len(old_map) != len(old_levels) or \
-                    len(new_map) != len(new_levels):
-                raise _Fallback("structural")
-            if [lvl.id for lvl in old_levels] != \
-                    [lvl.id for lvl in new_levels]:
-                dirty.add(f"dimclass#{key}")
-            for level_id, level in new_map.items():
-                if old_map[level_id] != level:
-                    dirty.add(f"{tag}#{level_id}")
+            for _, level in _changed_units(old_levels, new_levels, unit,
+                                           dirty):
+                dirty.add(f"{tag}#{level.id}")
     return dirty
 
 

@@ -1,10 +1,12 @@
 """The goldcase CLI: all subcommands end to end."""
 
+import json
 import os
 
 import pytest
 
 from repro.casetool import main
+from repro.web.incremental import INDEX_FILENAME
 
 
 @pytest.fixture()
@@ -12,6 +14,12 @@ def model_file(tmp_path):
     path = tmp_path / "model.xml"
     assert main(["demo", "sales", str(path)]) == 0
     return path
+
+
+def _site_files(directory) -> dict[str, bytes]:
+    """Every file of a published site but its dependency index."""
+    return {name: (directory / name).read_bytes()
+            for name in os.listdir(directory) if name != INDEX_FILENAME}
 
 
 class TestDemo:
@@ -99,6 +107,68 @@ class TestPublish:
         pages = [p for p in os.listdir(site) if p.endswith(".html")]
         assert pages == ["index.html"]
 
+    @staticmethod
+    def _edited_and_cold(model_file, tmp_path):
+        """The sales model with dimension d1 renamed, and the files of
+        its cold publish."""
+        from repro.mdm import model_to_xml, xml_to_model
+
+        model = xml_to_model(model_file.read_bytes())
+        model.dimension_class("d1").name = "Renamed Time"
+        edited = tmp_path / "edited.xml"
+        edited.write_text(model_to_xml(model), encoding="utf-8")
+        cold = tmp_path / "cold"
+        assert main(["publish", str(edited), str(cold)]) == 0
+        return edited, _site_files(cold)
+
+    def test_incremental_from_rebuilds_only_the_dirty_pages(
+            self, model_file, tmp_path, capsys):
+        site = tmp_path / "site"
+        assert main(["publish", str(model_file), str(site)]) == 0
+        edited, cold = self._edited_and_cold(model_file, tmp_path)
+        capsys.readouterr()
+        assert main(["publish", "--incremental-from", str(site),
+                     str(edited), str(site)]) == 0
+        assert "8 pages rebuilt, 8 reused" in capsys.readouterr().out
+        assert _site_files(site) == cold
+
+    def test_incremental_from_an_edited_page_falls_back(
+            self, model_file, tmp_path, capsys):
+        site = tmp_path / "site"
+        assert main(["publish", str(model_file), str(site)]) == 0
+        index = json.loads((site / INDEX_FILENAME).read_text())
+        reused = next(name for name, units in sorted(index["pages"].items())
+                      if name != "index.html" and
+                      "dimclass#d1" not in units)
+        with open(site / reused, "a", encoding="utf-8") as handle:
+            handle.write("<!-- edited by hand -->")
+        edited, cold = self._edited_and_cold(model_file, tmp_path)
+        capsys.readouterr()
+        assert main(["publish", "--incremental-from", str(site),
+                     str(edited), str(site)]) == 0
+        assert "incremental fallback: baseline_mismatch" in \
+            capsys.readouterr().out
+        assert _site_files(site) == cold
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda xml: xml.replace("<goldmodel ", "<goldmodel", 1),
+        lambda xml: xml.replace("<goldmodel ", '<goldmodel extra="1" ', 1),
+    ], ids=["malformed", "extra-attribute"])
+    def test_incremental_from_an_unusable_dotfile_publishes_cold(
+            self, model_file, tmp_path, capsys, corrupt):
+        site = tmp_path / "site"
+        assert main(["publish", str(model_file), str(site)]) == 0
+        dotfile = site / INDEX_FILENAME
+        index = json.loads(dotfile.read_text())
+        index["model_xml"] = corrupt(index["model_xml"])
+        dotfile.write_text(json.dumps(index))
+        edited, cold = self._edited_and_cold(model_file, tmp_path)
+        capsys.readouterr()
+        assert main(["publish", "--incremental-from", str(site),
+                     str(edited), str(site)]) == 0
+        assert f"no usable {INDEX_FILENAME}" in capsys.readouterr().err
+        assert _site_files(site) == cold
+
 
 class TestPresentAndExport:
     def test_present(self, model_file, tmp_path):
@@ -165,6 +235,25 @@ class TestServe:
         assert args.port == 9001
         assert args.demo is True
         assert args.model == ["m=path.xml"]
+
+    @pytest.mark.parametrize("option", ["--profile", "--trace"])
+    def test_tracing_a_worker_fleet_is_refused(self, tmp_path, capsys,
+                                               monkeypatch, option):
+        """Each forked worker records into its own copy of the recorder,
+        so a trace of the fleet would hold no request."""
+        import repro.server
+
+        def serve_forever_multi(*args, **kwargs):
+            raise AssertionError("the worker fleet started")
+
+        monkeypatch.setattr(repro.server, "serve_forever_multi",
+                            serve_forever_multi)
+        trace = tmp_path / "trace.json"
+        assert main(["serve", "--workers", "2", "--port", "0",
+                     "--store-dir", str(tmp_path / "store"),
+                     f"{option}={trace}"]) == 2
+        assert "--workers 1" in capsys.readouterr().err
+        assert not trace.exists()
 
     def test_preload_rejects_invalid_model(self, tmp_path, capsys):
         bad = tmp_path / "bad.xml"

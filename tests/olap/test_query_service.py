@@ -448,10 +448,9 @@ class TestAggregateCacheConcurrency:
         assert cache.stats()["entries"] == 1
 
     @staticmethod
-    def _invalidate_during_execution(cache: AggregateCache,
-                                     request_after: bool):
-        """Invalidate model "m" while an execution of one of its keys is
-        in flight; with *request_after*, the invalidating thread then
+    def _invalidate_during_execution(key_of_m, request_after: bool):
+        """Invalidate model "m" while an execution of *key_of_m* is in
+        flight; with *request_after*, the invalidating thread then
         requests that key again.
 
         Returns what ``invalidate`` returned and the most executions of
@@ -476,12 +475,12 @@ class TestAggregateCacheConcurrency:
             return run
 
         def invalidate():
-            removed.append(cache.invalidate("m"))
+            removed.append(key_of_m.invalidate())
             if request_after:
-                cache.entry("m", "h1", 1, "k", execute(False))
+                key_of_m.request(execute(False))
 
-        executing = threading.Thread(target=lambda: cache.entry(
-            "m", "h1", 1, "k", execute(True)))
+        executing = threading.Thread(
+            target=lambda: key_of_m.request(execute(True)))
         executing.start()
         assert started.wait(timeout=10)
         invalidating = threading.Thread(target=invalidate)
@@ -494,19 +493,49 @@ class TestAggregateCacheConcurrency:
             assert not thread.is_alive()
         return removed, most[0]
 
-    def test_invalidate_waits_out_the_execution_in_flight(self):
+    def test_invalidate_waits_out_the_execution_in_flight(self, key_of_m):
         """The execution does not store its entry after the drop."""
-        cache = AggregateCache()
         removed, _ = self._invalidate_during_execution(
-            cache, request_after=False)
+            key_of_m, request_after=False)
         assert removed == [1]
-        assert cache.stats()["entries"] == 0
+        assert key_of_m.entries() == 0
 
-    def test_request_after_invalidate_never_executes_beside_one(self):
-        cache = AggregateCache()
+    def test_request_after_invalidate_never_executes_beside_one(
+            self, key_of_m):
         _, most_at_once = self._invalidate_during_execution(
-            cache, request_after=True)
+            key_of_m, request_after=True)
         assert most_at_once == 1
+
+
+@pytest.fixture(params=["aggregates", "datasets"])
+def key_of_m(request, monkeypatch):
+    """One key of model "m": an aggregate of an :class:`AggregateCache`,
+    or a dataset of an :class:`OlapService`.
+
+    ``request(run)`` asks for the key with ``run`` as its execution (for
+    a dataset, its generation), ``invalidate()`` drops model "m", and
+    ``entries()`` counts what that cache holds.
+    """
+    import types
+
+    if request.param == "aggregates":
+        cache = AggregateCache()
+        return types.SimpleNamespace(
+            request=lambda run: cache.entry("m", "h1", 1, "k", run),
+            invalidate=lambda: cache.invalidate("m"),
+            entries=lambda: cache.stats()["entries"])
+    service = OlapService(dataset=SMALL)
+    runs = threading.local()
+    monkeypatch.setattr("repro.olap.service.service.synthesize_star",
+                        lambda *args: runs.run())
+
+    def generate(run):
+        runs.run = run
+        service.star_for("m", "h1", MODEL, 1)
+
+    return types.SimpleNamespace(
+        request=generate, invalidate=lambda: service.invalidate("m"),
+        entries=lambda: service.dataset_info()["currsize"])
 
 
 class TestFaultPoints:

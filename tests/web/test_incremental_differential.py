@@ -11,6 +11,9 @@ under the same id, shared-dimension edits, structural unit changes).
 
 from __future__ import annotations
 
+import json
+
+import pytest
 from hypothesis import given, settings
 
 from repro.mdm import (
@@ -200,16 +203,17 @@ def test_structural_unit_change_falls_back_to_full_publish():
         name for name in new_site.pages if name.endswith(".html"))
 
 
-def test_dotfile_roundtrip_takes_document_diff_path():
-    """An index reloaded from its JSON form (the dotfile scenario) has
-    neither the baseline model nor its DOM, so the republish must run
-    the document-diff slow path — and still match cold bytes."""
+def test_dotfile_roundtrip_rebuilds_the_baseline_model():
+    """An index reloaded from its JSON form (the dotfile scenario)
+    rebuilds the model it was published from, so the republish runs
+    the same model diff as an index held in memory — and still matches
+    cold bytes."""
     from repro.web.incremental import DependencyIndex
 
     model = sales_model()
     site, index = publish_with_index(model)
     reloaded = DependencyIndex.from_json(index.to_json())
-    assert reloaded._baseline_model is None
+    assert reloaded.baseline_model == model
     assert reloaded._baseline is None
 
     def rename(root):
@@ -221,6 +225,27 @@ def test_dotfile_roundtrip_takes_document_diff_path():
         edited, dict(site.pages), reloaded)
     assert info["mode"] == "incremental"
     _assert_cold_identical(new_site, edited)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda xml: xml.replace("<goldmodel ", "<goldmodel", 1),
+    lambda xml: xml.replace("goldmodel", "notamodel"),
+    lambda xml: xml.replace("<goldmodel ", '<goldmodel extra="1" ', 1),
+    lambda xml: None,
+], ids=["malformed", "not-a-goldmodel", "does-not-round-trip",
+        "not-a-string"])
+def test_dotfile_with_unusable_model_xml_is_rejected(corrupt):
+    """The pages on disk were rendered from the document of
+    ``model_xml``: a baseline model that does not parse, does not
+    convert, or does not serialize back to exactly that XML is no sound
+    baseline, and reloading the index says so."""
+    from repro.web.incremental import DependencyIndex
+
+    _, index = publish_with_index(sales_model())
+    data = json.loads(index.to_json())
+    data["model_xml"] = corrupt(data["model_xml"])
+    with pytest.raises(ValueError):
+        DependencyIndex.from_json(json.dumps(data))
 
 
 def test_patch_document_refuses_ambiguous_unit_ids():
