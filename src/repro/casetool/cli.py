@@ -157,10 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="build-store directory for --workers > 1 "
                             "(models + built artifacts shared across "
                             "processes; default: a temp directory)")
-    serve.add_argument("--build-pool", type=int, default=0, metavar="N",
-                       help="with --workers > 1: N background build "
-                            "processes pre-rendering PUT models into "
-                            "the store (default 0: build on demand)")
     serve.add_argument("--model", action="append", default=[],
                        metavar="NAME=PATH",
                        help="preload a model XML file under NAME "
@@ -262,7 +258,7 @@ def _load_previous_build(directory: str):
         with open(os.path.join(directory, INDEX_FILENAME),
                   encoding="utf-8") as handle:
             index = DependencyIndex.from_json(handle.read())
-    except (OSError, ValueError, KeyError):
+    except (OSError, ValueError):
         return None
     pages = {}
     for name in index.page_names:
@@ -553,8 +549,7 @@ def _run(args: argparse.Namespace) -> int:
 
             serve_forever_multi(
                 store_dir, workers=args.workers, host=args.host,
-                port=args.port, quiet=args.quiet,
-                build_pool_processes=args.build_pool)
+                port=args.port, quiet=args.quiet)
             return 0
         print(f"serving model repository on http://{args.host}:{args.port} "
               "(Ctrl-C to stop; /metrics and /dashboard expose telemetry)")

@@ -38,7 +38,6 @@ from .httpd import (
 from .store import ModelRecord, ModelStore, ModelStoreError
 from .telemetry import RequestContext, ServerTelemetry
 from .workers import (
-    BuildPool,
     MultiWorkerServer,
     make_worker_app,
     reuseport_available,
@@ -46,7 +45,6 @@ from .workers import (
 )
 
 __all__ = [
-    "BuildPool",
     "BuildStore",
     "MultiWorkerServer",
     "SharedModelStore",

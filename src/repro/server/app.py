@@ -148,8 +148,7 @@ class ModelRepositoryApp:
                  telemetry: ServerTelemetry | None = None,
                  olap: OlapService | None = None, *,
                  worker_id: int | None = None,
-                 fleet=None,
-                 prebuild=None) -> None:
+                 fleet=None) -> None:
         self.store = store if store is not None else ModelStore()
         self.cache = cache if cache is not None else SiteCache()
         self.telemetry = telemetry if telemetry is not None \
@@ -164,10 +163,6 @@ class ModelRepositoryApp:
         #: only for its fleet snapshots: /metrics appends the
         #: supervisor-aggregate series and /stats a ``fleet`` block.
         self.fleet = fleet
-        #: Optional callable(name) enqueueing a background pre-build of
-        #: the freshly PUT model (the supervisor's build pool); failures
-        #: are swallowed — the request path rebuilds on demand anyway.
-        self._prebuild = prebuild
         self._stats_lock = threading.Lock()
         self._requests = {"total": 0, "not_modified": 0}
 
@@ -314,11 +309,6 @@ class ModelRepositoryApp:
             status = 400 if exc.kind in ("name", "parse") else 422
             return _error(status, f"model rejected ({exc.kind})",
                           kind=exc.kind, issues=exc.issues)
-        if self._prebuild is not None:
-            try:
-                self._prebuild(record.name)
-            except Exception:
-                pass  # warming is best-effort; requests build on demand
         return _json_response(
             201 if created else 200,
             {"stored": record.summary(), "created": created},

@@ -11,14 +11,14 @@ DESIGN.md §11.3) adapted to sites:
   from its record's; the HTTP layer marks it with a ``Warning``
   header.
 * **Incremental when possible (DESIGN.md §14).**  Multi-page builds run
-  tracked, and the resulting dependency index is stored *under the
-  content hash of the entry it describes*.  A rebuild triggered by a
-  re-upload goes through :func:`repro.web.incremental
-  .republish_incremental` when the stored index matches the previous
-  entry — diffing the models and re-rendering only dirty pages, reusing
-  the previous entry's bytes (and therefore its ETags) for the rest —
-  and falls back to a cold tracked build on any mismatch (the
-  ``incremental`` / ``incremental_fallback`` stats).
+  tracked, and each entry carries the dependency index it was built
+  with.  A rebuild triggered by a re-upload goes through
+  :func:`repro.web.incremental.republish_incremental` against the
+  previous entry's index — diffing the models and re-rendering only
+  dirty pages, reusing the previous entry's bytes (and therefore its
+  ETags) for the rest.  The build store keeps no index, so an entry
+  adopted from a peer's artifact has none, and its successor is a cold
+  tracked build (the ``incremental`` / ``incremental_fallback`` stats).
 * **Link-checked at build time.**  Every page-producing build runs
   :func:`repro.web.linkcheck.check_site` and stores the report, so the
   ``/health/<model>`` endpoint surfaces broken anchors instead of the
@@ -33,7 +33,7 @@ page text again.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..coalesce import CoalescingCache
 from ..faults import FAULTS, fault_point
@@ -73,7 +73,8 @@ def page_etag(payload: bytes) -> str:
 
 @dataclass(frozen=True)
 class SiteEntry:
-    """One built variant: encoded pages, their ETags, and health."""
+    """One built variant: encoded pages, their ETags, health, and the
+    dependency index its successor diffs against."""
 
     name: str
     variant: str
@@ -86,6 +87,11 @@ class SiteEntry:
     #: Link-check outcome (None for the bundle variant — no HTML).
     link_report: LinkReport | None = None
     messages: list[str] = field(default_factory=list)
+    #: The index of a "multi" entry built here (tracked or incremental);
+    #: None for the other variants and for an entry adopted from the
+    #: build store, which never stores one.
+    index: DependencyIndex | None = field(
+        default=None, compare=False, repr=False)
 
 
 def _build_variant(record: ModelRecord, variant: str) -> SiteEntry:
@@ -101,6 +107,13 @@ def _build_variant(record: ModelRecord, variant: str) -> SiteEntry:
         text_pages = site.pages
         site_report = check_site(site)
         messages = site.messages
+    return _entry(record, variant, text_pages, site_report, messages)
+
+
+def _entry(record: ModelRecord, variant: str, text_pages: dict[str, str],
+           link_report: LinkReport | None, messages: list[str],
+           index: DependencyIndex | None = None) -> SiteEntry:
+    """*text_pages* encoded as *record*'s entry, with their ETags."""
     pages = {name: text.encode("utf-8")
              for name, text in text_pages.items()}
     return SiteEntry(
@@ -108,7 +121,7 @@ def _build_variant(record: ModelRecord, variant: str) -> SiteEntry:
         content_hash=record.content_hash, revision=record.revision,
         pages=pages,
         etags={name: page_etag(data) for name, data in pages.items()},
-        link_report=site_report, messages=messages)
+        link_report=link_report, messages=messages, index=index)
 
 
 class SiteCache(CoalescingCache):
@@ -139,14 +152,6 @@ class SiteCache(CoalescingCache):
         #: processes (DESIGN.md §17).  When None the cache is
         #: in-memory only.
         self._buildstore = buildstore
-        #: (name, "multi") → (content_hash of the entry the index was
-        #: recorded for, its dependency index).  The hash pins the index
-        #: to one specific build: an incremental rebuild only runs when
-        #: it matches the entry whose bytes would be reused, so a server
-        #: restarted (or otherwise holding a divergent entry) never
-        #: applies a diff against the wrong baseline.
-        self._dep_indexes: dict[tuple[str, str],
-                                tuple[str, DependencyIndex]] = {}
 
     # -- internals ---------------------------------------------------------
 
@@ -193,43 +198,30 @@ class SiteCache(CoalescingCache):
 
     def _attempt(self, key: tuple[str, str], record: ModelRecord,
                  variant: str) -> SiteEntry:
-        """Actually run one build (the cache has counted it)."""
+        """Actually run one build (the cache has counted it), going
+        incremental for stale "multi" entries.
+
+        Full builds always go through the module-level
+        :func:`_build_variant` (the seam fault tests monkeypatch).  A
+        "multi" rebuild diffs against the index its previous entry
+        carries; a previous entry without one (adopted from the build
+        store) makes this a tracked full build, counted as
+        ``incremental_fallback``.
+        """
         with _REC.span("server.rebuild", model=record.name,
                        variant=variant):
             if FAULTS.enabled:
                 FAULTS.hit(_REBUILD_FAULT)
-            return self._build(key, record, variant)
+            if variant != "multi":
+                return _build_variant(record, variant)
+            previous = self._entries.get(key)
+            if previous is not None and previous.index is not None:
+                return self._build_incremental(record, previous)
+            if previous is not None:
+                self._bump("incremental_fallback")
+            return self._build_tracked(record)
 
-    def _build(self, key: tuple[str, str], record: ModelRecord,
-               variant: str) -> SiteEntry:
-        """Build *variant*, going incremental for stale "multi" entries.
-
-        Full builds always go through the module-level
-        :func:`_build_variant` (the seam fault tests monkeypatch); the
-        incremental path only engages when a previous entry *and* a
-        dependency index recorded for that exact entry (content hashes
-        match) are available.  Any other combination — including an
-        index left over from a different baseline — falls back to a
-        tracked full build, counted as ``incremental_fallback``.
-        """
-        if variant != "multi":
-            return _build_variant(record, variant)
-        previous = self._entries.get(key)
-        with self._meta_lock:
-            stored = self._dep_indexes.get(key)
-        if previous is not None and stored is not None:
-            stored_hash, index = stored
-            if stored_hash == previous.content_hash:
-                return self._build_incremental(key, record, previous, index)
-            # The index describes some other build than the entry whose
-            # bytes we would reuse (e.g. state reloaded after a restart):
-            # applying the diff would republish against the wrong
-            # baseline, so rebuild cold instead.
-            self._bump("incremental_fallback")
-        return self._build_tracked(key, record)
-
-    def _build_tracked(self, key: tuple[str, str],
-                       record: ModelRecord) -> SiteEntry:
+    def _build_tracked(self, record: ModelRecord) -> SiteEntry:
         """Full multi build, tracked so the *next* rebuild can be
         incremental.  Called with the key lock held."""
         tracker = _tracking.ReadTracker(classify_node)
@@ -244,38 +236,25 @@ class SiteCache(CoalescingCache):
             tracker, page_names,
             {name: entry.etags[name].strip('"') for name in page_names},
             stylesheet=MULTI_PAGE_XSL, baseline_model=record.model)
-        with self._meta_lock:
-            self._dep_indexes[key] = (entry.content_hash, index)
-        return entry
+        return replace(entry, index=index)
 
-    def _build_incremental(self, key: tuple[str, str], record: ModelRecord,
-                           previous: SiteEntry,
-                           index: DependencyIndex) -> SiteEntry:
+    def _build_incremental(self, record: ModelRecord,
+                           previous: SiteEntry) -> SiteEntry:
         """Diff-driven rebuild reusing *previous*'s bytes for clean pages.
 
         ``republish_incremental`` degrades to a full publish internally
         on any diff/index miss (counted here as ``incremental_fallback``)
         but lets injected ``publish.diff`` faults propagate, so the
         caller's serve-stale degradation still gets exercised.  The link
-        check rescans only pages *previous*'s report has not seen (an
-        entry adopted from the build store carries no scans, so its
-        successor gets a full check).
+        check rescans only pages *previous*'s report has not seen.
         """
         previous_pages = {name: data.decode("utf-8")
                           for name, data in previous.pages.items()}
-        site, new_index, info = republish_incremental(
-            record.model, previous_pages, index)
-        pages = {name: text.encode("utf-8")
-                 for name, text in site.pages.items()}
-        entry = SiteEntry(
-            name=record.name, variant="multi",
-            content_hash=record.content_hash, revision=record.revision,
-            pages=pages,
-            etags={name: page_etag(data) for name, data in pages.items()},
-            link_report=check_site(site, previous.link_report),
-            messages=site.messages)
-        with self._meta_lock:
-            self._dep_indexes[key] = (entry.content_hash, new_index)
+        site, index, info = republish_incremental(
+            record.model, previous_pages, previous.index)
+        entry = _entry(record, "multi", site.pages,
+                       check_site(site, previous.link_report),
+                       site.messages, index)
         self._bump("incremental_fallback" if info["mode"] == "full"
                    else "incremental")
         return entry
@@ -294,28 +273,23 @@ class SiteCache(CoalescingCache):
         with self._meta_lock:
             return self._errors.get((name, variant))
 
-    def invalidate(self, name: str) -> int:
-        """Drop every cached variant of *name* and its dependency index;
-        returns entries removed (see :meth:`CoalescingCache.invalidate`)."""
-        removed = super().invalidate(name)
-        with self._meta_lock:
-            for variant in VARIANTS:
-                self._dep_indexes.pop((name, variant), None)
-        return removed
-
     def dep_index_info(self) -> dict:
-        """The dependency-index store in ``cache_info()`` shape.
+        """The entries' dependency indexes in ``cache_info()`` shape.
 
-        "Hits" are rebuilds the stored index actually served (diff-driven
-        incremental republishes); "misses" are rebuilds that wanted the
-        index but fell back to a cold tracked build.  Shaped like the
+        "Hits" are rebuilds an entry's index actually served (diff-driven
+        incremental republishes); "misses" are rebuilds that wanted an
+        index but fell back to a cold tracked build; "currsize" counts
+        the entries holding an index.  Shaped like the
         ``functools.lru_cache`` views in :func:`repro.obs.cache_stats` so
         ``/stats`` and ``/metrics`` treat every cache uniformly.
         """
+        # list() copies in one C call, with no thread switch inside.
+        indexed = sum(entry.index is not None
+                      for entry in list(self._entries.values()))
         with self._meta_lock:
             return {
                 "hits": self._stats["incremental"],
                 "misses": self._stats["incremental_fallback"],
-                "currsize": len(self._dep_indexes),
+                "currsize": indexed,
                 "maxsize": None,
             }

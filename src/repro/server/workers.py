@@ -31,23 +31,19 @@ module is the scale-out described in DESIGN.md §17:
   store without re-rendering anything a peer already built.  The
   worker-kill chaos runner (:mod:`repro.testkit.chaosmp`) enforces all
   three properties.
-* **A bounded build pool** (optional): PUTs enqueue the model name and
-  pool processes pre-build every variant into the shared store, so the
-  first GET after an upload usually finds the artifact on disk instead
-  of rendering on the request path.  The queue is bounded and lossy —
-  a full queue drops the warm-up, never blocks the PUT, and the
-  request path still builds on demand.
 
-``fork`` start method only: workers inherit the listening socket, the
-build-pool queue, and (in tests) monkeypatched module state, without
-pickling anything.
+A site is built by the worker whose request needs it, or adopted from
+the peer that stored it; a worker rebuilds incrementally (DESIGN.md
+§14) only after a build of its own.
+
+``fork`` start method only: workers inherit the listening socket and
+(in tests) monkeypatched module state, without pickling anything.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import queue as queue_module
 import signal
 import socket
 import threading
@@ -56,12 +52,11 @@ import time
 from .app import ModelRepositoryApp
 from .buildstore import BuildStore, SharedModelStore
 from .cache import SiteCache
-from .httpd import (MAX_BODY_BYTES, READ_TIMEOUT_S, RepositoryHTTPServer,
-                    make_handler)
+from .httpd import RepositoryHTTPServer, make_handler
 from .telemetry import ServerTelemetry
 
-__all__ = ["MultiWorkerServer", "BuildPool", "make_worker_app",
-           "reuseport_available", "serve_forever_multi"]
+__all__ = ["MultiWorkerServer", "make_worker_app", "reuseport_available",
+           "serve_forever_multi"]
 
 #: How often each worker publishes its fleet snapshot.
 FLEET_FLUSH_S = 0.25
@@ -77,7 +72,7 @@ def reuseport_available() -> bool:
 
 def make_worker_app(buildstore: BuildStore, *,
                     worker_id: int | None = None,
-                    dataset=None, prebuild=None) -> ModelRepositoryApp:
+                    dataset=None) -> ModelRepositoryApp:
     """One worker's application over the shared build store.
 
     Everything per-process (cache, telemetry, OLAP service) is fresh;
@@ -91,7 +86,7 @@ def make_worker_app(buildstore: BuildStore, *,
         SiteCache(buildstore=buildstore),
         ServerTelemetry(),
         OlapService(dataset=dataset, buildstore=buildstore),
-        worker_id=worker_id, fleet=buildstore, prebuild=prebuild)
+        worker_id=worker_id, fleet=buildstore)
 
 
 class _ReusePortServer(RepositoryHTTPServer):
@@ -117,28 +112,15 @@ class _InheritedSocketServer(RepositoryHTTPServer):
 
 
 def _worker_main(worker_id: int, host: str, port: int, store_dir: str,
-                 options: dict, shared_socket, ready,
-                 build_queue) -> None:
+                 quiet: bool, dataset, shared_socket, ready) -> None:
     """A worker process, from fork to shutdown.  Never returns."""
     # The terminal delivers SIGINT to the whole group; the supervisor
     # owns shutdown and asks politely with SIGTERM.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
     buildstore = BuildStore(store_dir)
-    prebuild = None
-    if build_queue is not None:
-        def prebuild(name: str, _queue=build_queue) -> None:
-            try:
-                _queue.put_nowait(name)
-            except queue_module.Full:
-                pass  # lossy by design; the request path builds anyway
-    app = make_worker_app(
-        buildstore, worker_id=worker_id,
-        dataset=options.get("dataset"), prebuild=prebuild)
-    handler = make_handler(
-        app, quiet=options.get("quiet", True),
-        read_timeout_s=options.get("read_timeout_s", READ_TIMEOUT_S),
-        max_body_bytes=options.get("max_body_bytes", MAX_BODY_BYTES))
+    app = make_worker_app(buildstore, worker_id=worker_id, dataset=dataset)
+    handler = make_handler(app, quiet=quiet)
     if shared_socket is not None:
         server = _InheritedSocketServer(shared_socket, handler)
     else:
@@ -175,62 +157,6 @@ def _worker_main(worker_id: int, host: str, port: int, store_dir: str,
     os._exit(0)
 
 
-def _pool_main(store_dir: str, tasks) -> None:
-    """A build-pool process: pre-build every variant of queued models."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    from .cache import VARIANTS
-
-    buildstore = BuildStore(store_dir)
-    store = SharedModelStore(buildstore)
-    cache = SiteCache(buildstore=buildstore)
-    while True:
-        name = tasks.get()
-        if name is None:
-            return
-        record = store.get(name)
-        if record is None:
-            continue  # deleted before we got to it
-        for variant in VARIANTS:
-            try:
-                cache.entry(record, variant)
-            except Exception:
-                pass  # warming is best-effort
-        # The pool only feeds the disk tier; don't accumulate pages in
-        # this process's memory across models.
-        cache.invalidate(name)
-
-
-class BuildPool:
-    """A bounded pool of processes pre-building PUT models to disk."""
-
-    def __init__(self, store_dir: str, *, processes: int = 2,
-                 queue_size: int = 64) -> None:
-        self._ctx = multiprocessing.get_context("fork")
-        self.queue = self._ctx.Queue(maxsize=queue_size)
-        self._procs = [
-            self._ctx.Process(
-                target=_pool_main, args=(store_dir, self.queue),
-                daemon=True, name=f"goldcase-buildpool-{index}")
-            for index in range(processes)]
-
-    def start(self) -> None:
-        for proc in self._procs:
-            proc.start()
-
-    def stop(self) -> None:
-        for _proc in self._procs:
-            try:
-                self.queue.put_nowait(None)
-            except queue_module.Full:
-                pass
-        for proc in self._procs:
-            proc.join(timeout=5)
-            if proc.is_alive():
-                proc.kill()
-                proc.join(timeout=5)
-        self.queue.close()
-
-
 class MultiWorkerServer:
     """The embeddable pre-fork server: supervisor + N workers.
 
@@ -243,30 +169,22 @@ class MultiWorkerServer:
 
     def __init__(self, store_dir: str, *, workers: int = 2,
                  host: str = "127.0.0.1", port: int = 0,
-                 quiet: bool = True, dataset=None,
-                 respawn: bool = True,
-                 build_pool_processes: int = 0,
-                 read_timeout_s: float = READ_TIMEOUT_S,
-                 max_body_bytes: int = MAX_BODY_BYTES) -> None:
+                 quiet: bool = True, dataset=None) -> None:
         if workers < 1:
             raise ValueError("need at least one worker")
         self.store_dir = store_dir
         self.buildstore = BuildStore(store_dir)
         self.workers = workers
-        self.respawn = respawn
         self.respawns = 0  # replacements forked by the monitor
         self._host = host
         self._requested_port = port
-        self._options = {"quiet": quiet, "dataset": dataset,
-                         "read_timeout_s": read_timeout_s,
-                         "max_body_bytes": max_body_bytes}
-        self._build_pool_processes = build_pool_processes
+        self._quiet = quiet
+        self._dataset = dataset
         self._ctx = multiprocessing.get_context("fork")
         self._procs: list = [None] * workers
         self._port: int | None = None
         self._reserve_socket: socket.socket | None = None
         self._shared_socket: socket.socket | None = None
-        self._pool: BuildPool | None = None
         self._stopping = threading.Event()
         self._monitor_thread: threading.Thread | None = None
         self._lock = threading.Lock()
@@ -313,8 +231,7 @@ class MultiWorkerServer:
         proc = self._ctx.Process(
             target=_worker_main,
             args=(worker_id, self._host, self._port, self.store_dir,
-                  self._options, self._shared_socket, ready,
-                  None if self._pool is None else self._pool.queue),
+                  self._quiet, self._dataset, self._shared_socket, ready),
             daemon=True, name=f"goldcase-worker-{worker_id}")
         proc.start()
         return proc, ready
@@ -322,10 +239,6 @@ class MultiWorkerServer:
     def start(self) -> "MultiWorkerServer":
         self.buildstore.clear_fleet()
         self._bind()
-        if self._build_pool_processes:
-            self._pool = BuildPool(
-                self.store_dir, processes=self._build_pool_processes)
-            self._pool.start()
         pending = []
         with self._lock:
             for worker_id in range(self.workers):
@@ -339,11 +252,9 @@ class MultiWorkerServer:
                     f"worker {worker_id} (pid {proc.pid}) did not come "
                     f"up within {READY_TIMEOUT_S}s "
                     f"(exitcode={proc.exitcode})")
-        if self.respawn:
-            self._monitor_thread = threading.Thread(
-                target=self._monitor, daemon=True,
-                name="goldcase-supervisor")
-            self._monitor_thread.start()
+        self._monitor_thread = threading.Thread(
+            target=self._monitor, daemon=True, name="goldcase-supervisor")
+        self._monitor_thread.start()
         return self
 
     def _monitor(self) -> None:
@@ -374,8 +285,8 @@ class MultiWorkerServer:
     def kill_worker(self, worker_id: int) -> int:
         """SIGKILL one worker (chaos); returns the pid that was shot.
 
-        With ``respawn`` on, the monitor forks a replacement under the
-        same worker id within its next scan.
+        The monitor forks a replacement under the same worker id within
+        its next scan.
         """
         with self._lock:
             proc = self._procs[worker_id]
@@ -401,9 +312,6 @@ class MultiWorkerServer:
             if proc.is_alive():  # pragma: no cover - stuck worker
                 proc.kill()
                 proc.join(timeout=10)
-        if self._pool is not None:
-            self._pool.stop()
-            self._pool = None
         for sock in (self._reserve_socket, self._shared_socket):
             if sock is not None:
                 sock.close()
@@ -420,12 +328,10 @@ class MultiWorkerServer:
 
 def serve_forever_multi(store_dir: str, *, workers: int,
                         host: str = "127.0.0.1", port: int = 8040,
-                        quiet: bool = False,
-                        build_pool_processes: int = 0) -> None:
+                        quiet: bool = False) -> None:
     """Blocking pre-fork serve loop for the CLI (Ctrl-C to stop)."""
     server = MultiWorkerServer(
-        store_dir, workers=workers, host=host, port=port, quiet=quiet,
-        build_pool_processes=build_pool_processes)
+        store_dir, workers=workers, host=host, port=port, quiet=quiet)
     server.start()
     mode = "SO_REUSEPORT" if reuseport_available() else "inherited FD"
     print(f"goldcase: {workers} workers on {server.url} ({mode}), "

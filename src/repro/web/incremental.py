@@ -210,7 +210,9 @@ class DependencyIndex:
         model object, so the rebuilt model is a sound baseline only if
         it serializes back to exactly that XML.  Raises ValueError
         when ``model_xml`` does not parse, does not convert to a model,
-        or does not re-serialize to itself.
+        or does not re-serialize to itself, and when the page fields do
+        not describe a site: ``page_names`` must name exactly the pages
+        ``pages`` maps to unit lists, ``index.html`` among them.
         """
         data = json.loads(text)
         if not isinstance(data, dict) or \
@@ -219,7 +221,18 @@ class DependencyIndex:
         if data.get("version") != INDEX_VERSION:
             raise ValueError(
                 f"unsupported dependency-index version {data.get('version')!r}")
-        model_xml = data["model_xml"]
+        pages = data.get("pages")
+        page_names = data.get("page_names")
+        page_hashes = data.get("page_hashes", {})  # may be partial
+        if not (isinstance(data.get("stylesheet_hash"), str)
+                and isinstance(pages, dict)
+                and all(map(_strings, pages.values()))
+                and _strings(page_names) and "index.html" in page_names
+                and sorted(page_names) == sorted(pages)
+                and isinstance(page_hashes, dict)
+                and all(isinstance(h, str) for h in page_hashes.values())):
+            raise ValueError("the page fields do not describe a site")
+        model_xml = data.get("model_xml")
         if not isinstance(model_xml, str):
             raise ValueError("model_xml is not a string")
         try:
@@ -228,16 +241,15 @@ class DependencyIndex:
             raise ValueError(f"model_xml is not a goldmodel: {exc}") from exc
         if pretty_print(model_to_document(model)) != model_xml:
             raise ValueError("model_xml does not re-serialize to itself")
-        return cls(
-            stylesheet_hash=data["stylesheet_hash"],
-            baseline_model=model,
-            pages={name: list(units)
-                   for name, units in data["pages"].items()},
-            page_names=list(data["page_names"]),
-            page_hashes=dict(data.get("page_hashes", {})),
-            version=data["version"],
-            model_xml=model_xml,
-        )
+        return cls(stylesheet_hash=data["stylesheet_hash"],
+                   baseline_model=model, pages=pages,
+                   page_names=page_names, page_hashes=page_hashes,
+                   version=data["version"], model_xml=model_xml)
+
+
+def _strings(value: object) -> bool:
+    """True when *value* is a JSON list of strings."""
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
 class _Fallback(Exception):

@@ -151,16 +151,20 @@ class TestPublish:
         assert _site_files(site) == cold
 
     @pytest.mark.parametrize("corrupt", [
-        lambda xml: xml.replace("<goldmodel ", "<goldmodel", 1),
-        lambda xml: xml.replace("<goldmodel ", '<goldmodel extra="1" ', 1),
-    ], ids=["malformed", "extra-attribute"])
+        {"model_xml": lambda xml: xml.replace("<goldmodel ", "<goldmodel", 1)},
+        {"model_xml": lambda xml: xml.replace(
+            "<goldmodel ", '<goldmodel extra="1" ', 1)},
+        {"pages": lambda _: []},
+        {"pages": lambda _: {}, "page_names": lambda _: {"index.html": 1}},
+    ], ids=["malformed", "extra-attribute", "pages-list", "no-pages"])
     def test_incremental_from_an_unusable_dotfile_publishes_cold(
             self, model_file, tmp_path, capsys, corrupt):
         site = tmp_path / "site"
         assert main(["publish", str(model_file), str(site)]) == 0
         dotfile = site / INDEX_FILENAME
         index = json.loads(dotfile.read_text())
-        index["model_xml"] = corrupt(index["model_xml"])
+        for field, change in corrupt.items():
+            index[field] = change(index[field])
         dotfile.write_text(json.dumps(index))
         edited, cold = self._edited_and_cold(model_file, tmp_path)
         capsys.readouterr()

@@ -109,6 +109,41 @@ def test_corrupt_artifact_degrades_to_rebuild(model):
             assert json.loads(handle.read())["kind"] == "site"
 
 
+def test_adopted_entry_rebuilds_cold_once_then_incrementally():
+    """The build store keeps no dependency index, so an entry adopted
+    from a peer's artifact has none: its successor is a tracked cold
+    build, counted once as ``incremental_fallback``, and the entry that
+    build makes carries an index, so the next rebuild is incremental.
+    Every rebuild is byte-identical to an offline build."""
+    from repro.testkit.chaos import sales_model
+    from repro.testkit.generators import apply_model_edit
+
+    v1 = sales_model()
+    v2, _ = apply_model_edit(v1, ("describe", 1, 1, 0))
+    v3, _ = apply_model_edit(v2, ("describe", 2, 2, 0))
+    with tempfile.TemporaryDirectory() as root:
+        store, models, record, peer, _ = _publish(root, _xml(v1))
+        assert peer.peek("m", "multi").index is not None
+        cache = SiteCache(buildstore=store)
+        assert cache.entry(record, "multi").index is None
+        assert cache.stats()["disk_hits"] == 1
+
+        expected = {"rebuilds": 0, "incremental": 0,
+                    "incremental_fallback": 0}
+        for version, counted in ((v2, "incremental_fallback"),
+                                 (v3, "incremental")):
+            record, _ = models.put("m", _xml(version))
+            entry = cache.entry(record, "multi")
+            offline = _build_variant(record, "multi")
+            assert entry.pages == offline.pages
+            assert entry.etags == offline.etags
+            assert entry.index is not None
+            expected["rebuilds"] += 1
+            expected[counted] += 1
+            stats = cache.stats()
+            assert {key: stats[key] for key in expected} == expected
+
+
 # -- same hash ⇒ same artifact, across processes ---------------------------
 
 

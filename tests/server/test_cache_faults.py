@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import pytest
 
@@ -36,6 +37,13 @@ def app():
     app = ModelRepositoryApp()
     assert app.handle("PUT", "/models/sales", {}, SALES_XML).status == 201
     return app
+
+
+def _drop_index(app, name: str = "sales") -> None:
+    """Strip the cached multi entry's dependency index, as if the entry
+    had been adopted from the build store (which stores none)."""
+    key = (name, "multi")
+    app.cache._entries[key] = replace(app.cache.peek(*key), index=None)
 
 
 def _hammer(app, path: str, clients: int = CLIENTS) -> list:
@@ -98,11 +106,11 @@ class TestServeStale:
 
         from repro.server import cache as cache_module
 
-        # The fake below is the *full-build* seam; drop the dependency
-        # index so the warm rebuild cannot route around it via the diff
-        # path.
+        # The fake below is the *full-build* seam; drop the entry's
+        # dependency index so the warm rebuild cannot route around it
+        # via the diff path.
         app.handle("GET", "/site/sales/index.html")
-        app.cache._dep_indexes.clear()
+        _drop_index(app)
         baseline = app.cache.stats()["rebuilds"]
         app.handle("PUT", "/models/sales", {}, SALES_V2)
 
@@ -292,8 +300,8 @@ class TestIncrementalRebuild:
     """Warm "multi" rebuilds route through the diff-driven republisher
     (DESIGN.md §14); these pin its server-side contract: byte-identity
     to cold builds, serve-stale on an injected diff fault, and full
-    fallback whenever the stored index does not match the entry whose
-    bytes would be reused."""
+    fallback whenever the entry whose bytes would be reused carries no
+    dependency index."""
 
     def _warm(self, app):
         assert app.handle("GET", "/site/sales/index.html").status == 200
@@ -330,13 +338,11 @@ class TestIncrementalRebuild:
         assert b"Sales DW v2" in recovered.body
         assert app.cache.build_error("sales", "multi") is None
 
-    def test_mismatched_stored_index_forces_full_rebuild(self, app):
-        """The restart-safety half: an index recorded for a *different*
-        build than the cached entry must never be diffed against it."""
+    def test_entry_without_index_rebuilds_cold(self, app):
+        """An entry adopted from the build store carries no index, so
+        its successor is a cold build, never a diff against nothing."""
         self._warm(app)
-        key = ("sales", "multi")
-        _, index = app.cache._dep_indexes[key]
-        app.cache._dep_indexes[key] = ("0" * 64, index)
+        _drop_index(app)
         app.handle("PUT", "/models/sales", {}, SALES_V2)
         assert app.handle("GET", "/site/sales/index.html").status == 200
         stats = app.cache.stats()
@@ -349,7 +355,7 @@ class TestIncrementalRebuild:
         assert app.cache.peek("sales", "multi").pages == \
             cold.cache.peek("sales", "multi").pages
 
-        # The fallback re-recorded a matching index, so the next warm
+        # The fallback's entry carries its own index, so the next warm
         # rebuild goes incremental again.
         app.handle("PUT", "/models/sales", {}, SALES_XML)
         assert app.handle("GET", "/site/sales/index.html").status == 200
@@ -357,6 +363,8 @@ class TestIncrementalRebuild:
 
     def test_invalidate_drops_the_stored_index(self, app):
         self._warm(app)
-        assert ("sales", "multi") in app.cache._dep_indexes
+        assert app.cache.peek("sales", "multi").index is not None
+        assert app.cache.dep_index_info()["currsize"] == 1
         app.handle("DELETE", "/models/sales")
-        assert ("sales", "multi") not in app.cache._dep_indexes
+        assert app.cache.peek("sales", "multi") is None
+        assert app.cache.dep_index_info()["currsize"] == 0

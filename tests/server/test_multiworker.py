@@ -5,7 +5,8 @@ processes behind one port — through plain HTTP, comparing served bytes
 against an offline single-process publish (the PR 4 contract, extended
 across processes).  Fresh connections per request make the kernel's
 reuseport hashing spread load, so a handful of requests observes every
-worker.
+worker; the edit-path test instead pins one keep-alive connection to
+each worker.
 """
 
 from __future__ import annotations
@@ -35,11 +36,17 @@ def _request(port: int, method: str, path: str, body: bytes | None = None
     reuseport hash re-rolls which worker answers)."""
     conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
     try:
-        conn.request(method, path, body=body)
-        response = conn.getresponse()
-        return response.status, response.read()
+        return _exchange(conn, method, path, body)
     finally:
         conn.close()
+
+
+def _exchange(conn: http.client.HTTPConnection, method: str, path: str,
+              body: bytes | None = None) -> tuple[int, bytes]:
+    """One exchange on *conn*, which stays open."""
+    conn.request(method, path, body=body)
+    response = conn.getresponse()
+    return response.status, response.read()
 
 
 def _offline_site(xml_bytes: bytes, name: str) -> dict[str, bytes]:
@@ -192,35 +199,65 @@ def test_inherited_fd_fallback_serves_correctly(tmp_path, monkeypatch):
             assert status == 200 and body == page_bytes, path
 
 
-def test_build_pool_prebuilds_put_models(tmp_path):
-    """With a build pool, a PUT alone (no GET) materializes every
-    variant's artifact in the store, and the first GET serves it
-    byte-identically without a request-path rebuild."""
-    from repro.server import BuildStore, SharedModelStore
-    from repro.server.cache import VARIANTS
+def _pinned(port: int, worker_id: int, attempts: int = 200
+            ) -> http.client.HTTPConnection:
+    """A keep-alive connection served by worker *worker_id*.
 
-    xml_bytes = _xml(sales_model())
-    expected = _offline_site(xml_bytes, "sales")
-    store_dir = str(tmp_path / "store")
-    with MultiWorkerServer(store_dir, workers=1,
-                           build_pool_processes=1) as server:
-        assert _request(server.port, "PUT", "/models/sales",
-                        xml_bytes)[0] == 201
-        record = SharedModelStore(BuildStore(store_dir)).get("sales")
-        deadline = time.monotonic() + 60
-        store = BuildStore(store_dir)
-        while True:
-            loaded = [store.load_site(record, variant)
-                      for variant in VARIANTS]
-            if all(entry is not None for entry in loaded):
-                break
-            assert time.monotonic() < deadline, \
-                "build pool never produced all variants"
-            time.sleep(0.1)
-        for path, page_bytes in sorted(expected.items()):
-            status, body = _request(server.port, "GET", path)
-            assert status == 200 and body == page_bytes, path
-        stats = _stats_by_pid(server.port, set(server.worker_pids()))
-        site = next(iter(stats.values()))["site_cache"]
-        assert site["rebuilds"] == 0, site
-        assert site["disk_hits"] >= 1, site
+    The kernel picks the worker when it accepts the connection, so
+    redial until ``/stats`` on the new connection reports that id.
+    """
+    for _ in range(attempts):
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+        status, body = _exchange(conn, "GET", "/stats")
+        assert status == 200
+        if json.loads(body)["worker"]["id"] == worker_id:
+            return conn
+        conn.close()
+    raise AssertionError(
+        f"no connection reached worker {worker_id} in {attempts} tries")
+
+
+def _site_stats(conn: http.client.HTTPConnection) -> dict:
+    status, body = _exchange(conn, "GET", "/stats")
+    assert status == 200
+    return json.loads(body)["site_cache"]
+
+
+def test_reading_worker_rebuilds_each_edit_incrementally(tmp_path):
+    """The fleet's edit path: chained edits PUT via worker 0 and read
+    via worker 1.  Worker 1 serves every page of every version
+    byte-identical to an offline publish, and after its first build it
+    rebuilds each edit incrementally against the entry it built itself:
+    no cold fallback, no artifact adopted from disk."""
+    from repro.testkit.generators import apply_model_edit
+
+    model = sales_model()
+    versions = [model]
+    for step in range(1, 4):
+        model, _ = apply_model_edit(model, ("describe", step, step, 0))
+        versions.append(model)
+    with MultiWorkerServer(str(tmp_path / "store"), workers=2) as server:
+        writer = _pinned(server.port, 0)
+        reader = _pinned(server.port, 1)
+        try:
+            before = None
+            for version in versions:
+                xml_bytes = _xml(version)
+                status, _ = _exchange(writer, "PUT", "/models/sales",
+                                      xml_bytes)
+                assert status in (200, 201)
+                for path, page_bytes in sorted(
+                        _offline_site(xml_bytes, "sales").items()):
+                    status, body = _exchange(reader, "GET", path)
+                    assert status == 200 and body == page_bytes, path
+                if before is None:
+                    before = _site_stats(reader)
+            after = _site_stats(reader)
+        finally:
+            writer.close()
+            reader.close()
+    delta = {key: after[key] - before[key]
+             for key in ("rebuilds", "incremental", "incremental_fallback",
+                         "disk_hits")}
+    assert delta == {"rebuilds": 3, "incremental": 3,
+                     "incremental_fallback": 0, "disk_hits": 0}, delta

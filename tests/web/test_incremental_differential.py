@@ -248,6 +248,40 @@ def test_dotfile_with_unusable_model_xml_is_rejected(corrupt):
         DependencyIndex.from_json(json.dumps(data))
 
 
+def _without_index_page(data):
+    del data["pages"]["index.html"]
+    data["page_names"].remove("index.html")
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda data: data.update(stylesheet_hash=None),
+    lambda data: data.pop("stylesheet_hash"),
+    lambda data: data.update(pages=[]),
+    lambda data: data["pages"].update({"index.html": "model"}),
+    lambda data: data["pages"].update({"index.html": [1]}),
+    lambda data: data.update(pages={}, page_names={"index.html": 1}),
+    lambda data: data.update(page_names=["index.html"]),
+    _without_index_page,
+    lambda data: data.update(page_hashes=[]),
+    lambda data: data["page_hashes"].update({"index.html": None}),
+], ids=["stylesheet-hash-null", "stylesheet-hash-missing", "pages-list",
+        "units-not-a-list", "unit-not-a-string", "page-names-not-a-list",
+        "page-names-not-the-pages", "no-index-page", "page-hashes-list",
+        "page-hash-null"])
+def test_dotfile_with_unusable_page_fields_is_rejected(corrupt):
+    """A hand-edited or truncated dotfile whose page fields do not
+    describe a site is rejected on reload, not half-applied: the
+    caller publishes cold instead of crashing or writing a site with
+    pages missing."""
+    from repro.web.incremental import DependencyIndex
+
+    _, index = publish_with_index(sales_model())
+    data = json.loads(index.to_json())
+    corrupt(data)
+    with pytest.raises(ValueError):
+        DependencyIndex.from_json(json.dumps(data))
+
+
 def test_patch_document_refuses_ambiguous_unit_ids():
     """Duplicate ``tag#id`` across units (unpublishable anyway — level
     pages are named by id) must make in-place patching refuse, so the
