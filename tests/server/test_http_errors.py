@@ -1,10 +1,12 @@
 """Transport hardening: hostile/broken clients get clean status codes.
 
 Regression tests for ISSUE 5 satellite 1: malformed request lines,
-oversized headers, bad Content-Length framing, oversized bodies,
-stalled body reads, and application-layer crashes must all produce a
-well-formed HTTP error response (400/408/413/431/500) and a closed
-connection — never a traceback in the handler thread or a hung client.
+oversized headers, bad Content-Length framing, a Transfer-Encoding,
+oversized bodies, stalled body reads, and application-layer crashes
+must all produce a well-formed HTTP error response
+(400/408/413/431/500/501) and a closed connection — never a traceback
+in the handler thread, a hung client, or a second request read out of
+a body.
 Every test also proves the server survives: a fresh request afterwards
 is served normally.
 """
@@ -60,6 +62,18 @@ def _raw_exchange(server, payload: bytes, timeout: float = 10.0) -> bytes:
 def _status_line(reply: bytes) -> int:
     assert reply.startswith(b"HTTP/1."), reply[:80]
     return int(reply.split(b" ", 2)[1])
+
+
+def _only_response(reply: bytes) -> tuple[int, str]:
+    """The status and transport error of *reply*, which must hold one
+    response with a ``Connection: close`` and nothing after its body."""
+    head, _, rest = reply.partition(b"\r\n\r\n")
+    fields = dict(line.split(b": ", 1) for line in head.split(b"\r\n")[1:])
+    assert fields[b"Connection"] == b"close", head
+    assert len(rest) == int(fields[b"Content-Length"]), reply
+    payload = json.loads(rest)
+    assert payload["kind"] == "transport"
+    return _status_line(reply), payload["error"]
 
 
 def _assert_still_serving(server) -> None:
@@ -162,6 +176,34 @@ class TestBodyFraming:
         if reply:  # a response is optional for a vanished client...
             assert _status_line(reply) == 400
         _assert_still_serving(server)  # ...but survival is not
+
+    def test_conflicting_content_lengths_are_400_then_close(self, server):
+        """Two differing lengths: a peer honouring the other one sees a
+        different request boundary, so the smuggled GET inside the body
+        must never be answered."""
+        smuggled = b"GET /health HTTP/1.1\r\nHost: h\r\n\r\n"
+        body = b"<x/>\n" + smuggled + b"#" * (40 - 5 - len(smuggled))
+        reply = _raw_exchange(
+            server,
+            b"PUT /models/x HTTP/1.1\r\nHost: h\r\n"
+            b"Content-Length: 5\r\nContent-Length: 40\r\n\r\n" + body)
+        status, error = _only_response(reply)
+        assert status == 400
+        assert "Content-Length" in error
+        _assert_still_serving(server)
+
+    def test_transfer_encoding_is_501_then_close(self, server):
+        """A chunked body is not read as Content-Length 0 with the chunk
+        bytes parsed as the next request."""
+        reply = _raw_exchange(
+            server,
+            b"PUT /models/x HTTP/1.1\r\nHost: h\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n"
+            b"5\r\n<x/>\n\r\n0\r\n\r\n")
+        status, error = _only_response(reply)
+        assert status == 501
+        assert "Transfer-Encoding" in error
+        _assert_still_serving(server)
 
 
 class TestUndecodableUpload:
