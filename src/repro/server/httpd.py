@@ -32,9 +32,11 @@ are ``400``, both with a close.  Every connection carries a read
 timeout (stalled body reads get ``408`` and a close instead of a parked
 thread), request bodies are bounded (``413`` past
 :data:`MAX_BODY_BYTES`), a non-numeric ``Content-Length`` is a clean
-``400``, and an exception escaping the application layer is answered
-with a JSON ``500`` and a closed connection — never a traceback that
-kills the handler thread mid-response.  The regression tests in
+``400`` (both checked before an ``Expect: 100-continue`` is
+answered, so a refused body is never invited), and an exception
+escaping the application layer is answered with a JSON ``500`` and a
+closed connection — never a traceback that kills the handler thread
+mid-response.  The regression tests in
 ``tests/server/test_http_errors.py`` pin all of these behaviours, and
 ``tests/server/test_request_head_oracle.py`` checks the parser against
 the stdlib's.  ``httpd.read`` / ``httpd.write`` fault-injection points
@@ -329,7 +331,13 @@ class _RepositoryHandler(BaseHTTPRequestHandler):
         elif connection == "keep-alive":
             self.close_connection = False
         if (version >= (1, 1)
-                and headers.get("expect", "").lower() == "100-continue"):
+                and headers.get("expect", "").lower() == "100-continue"
+                and "content-length" in headers):
+            # Invite only a body that will be read: a length refused
+            # later is refused now, before any 100.  Without a length
+            # there is no content, and no 100 (RFC 9110 §10.1.1).
+            if self._body_length() is None:
+                return False
             return self.handle_expect_100()
         return True
 
@@ -369,8 +377,9 @@ class _RepositoryHandler(BaseHTTPRequestHandler):
             pass  # the peer is gone; nothing left to tell them
         self.close_connection = True
 
-    def _read_body(self) -> bytes | None:
-        """The request body, or None after an error response was sent."""
+    def _body_length(self) -> int | None:
+        """The request's Content-Length (0 without one), or None after a
+        400 or 413 was sent."""
         raw_length = self.headers.get("content-length")
         try:
             length = int(raw_length) if raw_length else 0
@@ -383,6 +392,13 @@ class _RepositoryHandler(BaseHTTPRequestHandler):
         if length > self.max_body_bytes:
             self._fail(413, f"request body of {length} bytes exceeds the "
                             f"{self.max_body_bytes}-byte limit")
+            return None
+        return length
+
+    def _read_body(self) -> bytes | None:
+        """The request body, or None after an error response was sent."""
+        length = self._body_length()
+        if length is None:
             return None
         try:
             body = self.rfile.read(length) if length else b""

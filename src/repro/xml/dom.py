@@ -366,6 +366,28 @@ class Element(_ParentNode):
         #: Cached ``(root, version, {prefix: uri})`` namespace resolutions.
         self._ns_cache: tuple | None = None
 
+    @classmethod
+    def parsed(cls, name: str, line: int, column: int,
+               parent: "Element | None") -> "Element":
+        """Parser-only constructor: an element whose *name* the parser
+        has matched as a Name without a colon (an NCName, hence a QName),
+        attached to *parent* but not yet among its children.  It sets
+        every field :meth:`__init__` sets, without re-checking the name.
+        """
+        element = cls.__new__(cls)
+        element.parent = parent
+        element._order_cache = None
+        element._doc_version = 0
+        element.children = []
+        element._child_index = None
+        element.name = name
+        element.attributes = []
+        element.namespace_declarations = {}
+        element.line = line
+        element.column = column
+        element._ns_cache = None
+        return element
+
     # -- names ---------------------------------------------------------------
 
     @property
@@ -539,6 +561,27 @@ class Attribute(Node):
         self.specified = True
         self.line = line
         self.column = column
+
+    @classmethod
+    def parsed(cls, name: str, value: str, line: int, column: int,
+               owner: Element, is_namespace_decl: bool) -> "Attribute":
+        """Parser-only constructor: an attribute of *owner* whose *name*
+        the parser has matched as a Name.  It sets every field
+        :meth:`__init__` sets, without re-checking the name; the caller
+        appends it to ``owner.attributes``.
+        """
+        attr = cls.__new__(cls)
+        attr.parent = owner
+        attr._order_cache = None
+        attr._doc_version = 0
+        attr.name = name
+        attr.value = value
+        attr.is_namespace_decl = is_namespace_decl
+        attr.is_id = False
+        attr.specified = True
+        attr.line = line
+        attr.column = column
+        return attr
 
     @property
     def prefix(self) -> str | None:

@@ -17,6 +17,18 @@ longest run that needs no attention, and only the character that ends a
 run (markup, a reference, a line end to normalize, a forbidden character)
 is looked at on its own.
 
+A start tag is consumed in one step.  One regular expression
+(:data:`_START_TAG`) matches its name, every attribute whose value is one
+run, and the closing ``>`` or ``/>``; one bisect gives the tag's line and
+column, and each attribute's follows from its offset unless the tag
+spans lines.  The nodes are built with the DOM's parser-only
+constructors, which trust the names the match proved, and are appended
+without insertability checks.  Namespace checks run only on tags that
+hold a colon or an ``xmlns`` attribute.  A tag the match rejects (a value
+holding a reference, or a tab or line end to normalize; a duplicate
+attribute; any error) is parsed one construct at a time instead, so each
+error is raised by the same code at the same position.
+
 Unsupported (rejected, not silently ignored): external entities and custom
 general entities — the CASE-tool documents of the paper never use them.
 
@@ -33,6 +45,7 @@ import re
 
 from .chars import NAME_RE, NON_CHAR_CLASS, is_qname
 from .dom import (
+    XML_NAMESPACE,
     Attribute,
     Comment,
     Document,
@@ -53,13 +66,38 @@ _DOUBLE_RUN = f'[^"<&\\t\\n\\r{NON_CHAR_CLASS}]*'
 _SINGLE_RUN = f"[^'<&\\t\\n\\r{NON_CHAR_CLASS}]*"
 #: A run of an attribute value that needs no normalization, per quote.
 _VALUE_RUN = {'"': re.compile(_DOUBLE_RUN), "'": re.compile(_SINGLE_RUN)}
-#: An attribute's name, its '=' with the white space around it and, when
-#: the value is one run, the quoted value (group 2 or 3).
-_ATTRIBUTE = re.compile(
-    f"({NAME_RE.pattern})[ \\t\\r\\n]*=[ \\t\\r\\n]*"
-    f"(?:\"({_DOUBLE_RUN})\"|'({_SINGLE_RUN})')?")
+
+
+def _one_run_attribute(group: str) -> str:
+    """White space, then an attribute whose value is one run: its name
+    and its value (double- or single-quoted), each opened with *group*."""
+    return (f"[ \\t\\r\\n]+{group}{NAME_RE.pattern})"
+            f"[ \\t\\r\\n]*=[ \\t\\r\\n]*"
+            f"(?:\"{group}{_DOUBLE_RUN})\"|'{group}{_SINGLE_RUN})')")
+
+
+#: A whole start tag in one match: the element name (group 1), every
+#: attribute (group 2) when each value is one run, and '/' (group 3) when
+#: the tag is empty.  Each repetition of an attribute begins with white
+#: space and ends at its closing quote, and inside it the name, the '='
+#: and the value are each delimited by characters their neighbours cannot
+#: hold.  So the pattern can match a text in only one way: a tag rejected
+#: late (say, at a '&' in its last value) backtracks through each
+#: repetition once, in time linear in the tag's length.
+_START_TAG = re.compile(
+    f"<({NAME_RE.pattern})((?:{_one_run_attribute('(?:')})*)"
+    "[ \\t\\r\\n]*(/?)>")
+#: One attribute of a tag :data:`_START_TAG` matched: its name (group 1)
+#: and its value (group 2 or 3).
+_TAG_ATTRIBUTE = re.compile(_one_run_attribute("("))
 #: The characters the internal-subset scan stops at.
 _SUBSET_MARK = re.compile("[][\"']")
+#: A character that is not a ``Char`` (comments, PIs, CDATA sections).
+_NON_CHAR = re.compile(f"[{NON_CHAR_CLASS}]")
+#: Production [81] EncName.
+_ENC_NAME = re.compile("[A-Za-z][A-Za-z0-9._-]*")
+_DECLARED_ENCODING = re.compile(
+    f"encoding\\s*=\\s*['\"]({_ENC_NAME.pattern})['\"]")
 
 
 def parse(text: str | bytes, *, namespaces: bool = True) -> Document:
@@ -96,9 +134,7 @@ def _decode(data: bytes) -> str:
     if head.startswith("<?xml"):
         decl_end = head.find("?>")
         if decl_end != -1 and "encoding" in head[:decl_end]:
-            match = re.search(
-                r"encoding\s*=\s*['\"]([A-Za-z][A-Za-z0-9._-]*)['\"]",
-                head[:decl_end])
+            match = _DECLARED_ENCODING.search(head[:decl_end])
             if match:
                 return _decoded(data, match.group(1))
     return _decoded(data, "utf-8")
@@ -129,8 +165,9 @@ class XMLParser:
     def parse(self, text: str | bytes) -> Document:
         """Parse *text* and return the document tree."""
         if isinstance(text, bytes):
+            # Decoding consumed the BOM; a second U+FEFF is no BOM.
             text = _decode(text)
-        if text.startswith("﻿"):
+        elif text.startswith("\ufeff"):
             text = text[1:]
         scanner = self._scanner = Scanner(text)
         document = Document()
@@ -138,7 +175,7 @@ class XMLParser:
         self._parse_prolog(document)
         if scanner.at_end or scanner.peek() != "<":
             raise scanner.error("expected document element")
-        element = self._parse_element(parent_element=None)
+        element = self._parse_element(None)
         document.append_child(element)
         self._parse_misc(document)
         if not scanner.at_end:
@@ -175,12 +212,20 @@ class XMLParser:
         if document.version not in ("1.0", "1.1"):
             raise scanner.error(
                 f"unsupported XML version {document.version!r}")
-        scanner.skip_space()
+        had_space = scanner.skip_space()
         if scanner.startswith("encoding"):
+            if not had_space:
+                raise scanner.error("white space required before 'encoding'")
             scanner.expect("encoding")
             document.encoding = self._parse_pseudo_attr_value()
-            scanner.skip_space()
+            if _ENC_NAME.fullmatch(document.encoding) is None:
+                raise scanner.error(
+                    f"malformed encoding name {document.encoding!r}")
+            had_space = scanner.skip_space()
         if scanner.startswith("standalone"):
+            if not had_space:
+                raise scanner.error(
+                    "white space required before 'standalone'")
             scanner.expect("standalone")
             value = self._parse_pseudo_attr_value()
             if value not in ("yes", "no"):
@@ -250,7 +295,78 @@ class XMLParser:
 
     # -- elements ---------------------------------------------------------------
 
-    def _parse_element(self, parent_element: Element | None) -> Element:
+    def _parse_element(self, parent: Element | None) -> Element:
+        """Parse one element with its content.  It comes back attached to
+        *parent* (so namespace lookups reach its ancestors) but not yet
+        among *parent*'s children."""
+        scanner = self._scanner
+        assert scanner is not None
+        tag = _START_TAG.match(scanner.text, scanner.pos)
+        built = None if tag is None else self._build_start_tag(tag, parent)
+        if built is None:
+            element, empty = self._parse_start_tag(parent)
+            check = True
+        else:
+            element, check = built
+            scanner.pos = tag.end()
+            empty = tag.group(3)
+        if not empty:
+            self._parse_content(element)
+            self._parse_end_tag(element)
+        if check and self.namespaces:
+            self._check_namespaces(element)
+        return element
+
+    def _build_start_tag(self, tag: re.Match, parent: Element | None
+                         ) -> tuple[Element, bool] | None:
+        """The element of a start tag :data:`_START_TAG` matched, with
+        its attributes, and whether a name in the tag has a colon (only
+        then can a namespace check fail).  None when two attributes share
+        a name: the stepwise path then raises the exact error."""
+        scanner = self._scanner
+        start = tag.start()
+        name = tag.group(1)
+        line, column = scanner.location(start)
+        colon = ":" in name
+        if colon:
+            # Element() raises DOMError for a Name that is not a QName.
+            element = Element(name, line=line, column=column)
+            element.parent = parent
+        else:
+            element = Element.parsed(name, line, column, parent)
+        first, last = tag.span(2)
+        if first == last:
+            return element, colon
+        text = scanner.text
+        multiline = text.find("\n", first, last) != -1
+        attributes = element.attributes
+        seen: set[str] = set()
+        for match in _TAG_ATTRIBUTE.finditer(text, first, last):
+            attr_name, value, single = match.group(1, 2, 3)
+            if attr_name in seen:
+                return None
+            seen.add(attr_name)
+            if value is None:
+                value = single
+            pos = match.start(1)
+            if multiline:
+                attr_line, attr_column = scanner.location(pos)
+            else:
+                attr_line, attr_column = line, column + pos - start
+            is_decl = attr_name == "xmlns" or attr_name.startswith("xmlns:")
+            if is_decl:
+                self._declare_namespace(element, attr_name, value, pos)
+            elif ":" in attr_name:
+                colon = True
+            attributes.append(Attribute.parsed(
+                attr_name, value, attr_line, attr_column, element, is_decl))
+        return element, colon
+
+    def _parse_start_tag(self, parent: Element | None
+                         ) -> tuple[Element, bool]:
+        """Parse a start tag one construct at a time: the path for a tag
+        the one-step match rejects, which raises each error at its
+        position.  Returns the element and whether the tag was empty."""
         scanner = self._scanner
         assert scanner is not None
         start = scanner.pos
@@ -258,72 +374,61 @@ class XMLParser:
         name = scanner.read_name("element name")
         line, column = scanner.location(start)
         element = Element(name, line=line, column=column)
-        if parent_element is not None:
-            # Attach early so namespace lookup sees ancestors during parsing.
-            element.parent = parent_element
-
+        element.parent = parent
         text = scanner.text
-        seen_attrs: set[str] = set()
+        seen: set[str] = set()
         while True:
             had_space = scanner.skip_space()
             pos = scanner.pos
             if text.startswith(">", pos):
                 scanner.pos = pos + 1
-                self._parse_content(element)
-                self._parse_end_tag(element)
-                break
+                return element, False
             if text.startswith("/>", pos):
                 scanner.pos = pos + 2
-                break
+                return element, True
             if not had_space:
                 raise scanner.error("white space required before attribute")
-            self._parse_attribute(element, seen_attrs)
-
-        element.parent = None  # the caller re-attaches via append_child
-        if self.namespaces:
-            self._check_namespaces(element, parent_element)
-        return element
+            self._parse_attribute(element, seen)
 
     def _parse_attribute(self, element: Element, seen: set[str]) -> None:
         scanner = self._scanner
         assert scanner is not None
         attr_start = scanner.pos
-        match = _ATTRIBUTE.match(scanner.text, attr_start)
-        name = scanner.read_name("attribute name") if match is None \
-            else match.group(1)
+        name = scanner.read_name("attribute name")
         if name in seen:
             raise scanner.error(
                 f"duplicate attribute {name!r}", attr_start)
         seen.add(name)
-        if match is None:
-            # The name is fine, so the '=' is missing: this raises.
-            scanner.skip_space()
-            scanner.expect("=", "'=' after attribute name")
-        scanner.pos = match.end()
-        value = match.group(2)
-        if value is None:
-            value = match.group(3)
-            if value is None:
-                value = self._parse_attribute_value()
+        scanner.skip_space()
+        scanner.expect("=", "'=' after attribute name")
+        scanner.skip_space()
+        value = self._parse_attribute_value()
         line, column = scanner.location(attr_start)
+        is_decl = name == "xmlns" or name.startswith("xmlns:")
+        if is_decl:
+            self._declare_namespace(element, name, value, attr_start)
+        element.attributes.append(Attribute.parsed(
+            name, value, line, column, element, is_decl))
+
+    def _declare_namespace(self, element: Element, name: str, value: str,
+                           pos: int) -> None:
+        """Record the ``xmlns`` or ``xmlns:*`` attribute at *pos*."""
+        scanner = self._scanner
+        assert scanner is not None
         if name == "xmlns":
             element.declare_namespace("", value)
-        elif name.startswith("xmlns:"):
-            prefix = name[6:]
-            if prefix == "xmlns":
-                raise scanner.error(
-                    "the 'xmlns' prefix cannot be declared", attr_start)
-            if prefix == "xml" and value != "http://www.w3.org/XML/1998/namespace":
-                raise scanner.error(
-                    "the 'xml' prefix cannot be rebound", attr_start)
-            if not value:
-                raise scanner.error(
-                    f"namespace prefix {prefix!r} cannot be undeclared "
-                    "in XML 1.0", attr_start)
-            element.declare_namespace(prefix, value)
-        attr = Attribute(name, value, line=line, column=column)
-        attr.parent = element
-        element.attributes.append(attr)
+            return
+        prefix = name[6:]
+        if prefix == "xmlns":
+            raise scanner.error(
+                "the 'xmlns' prefix cannot be declared", pos)
+        if prefix == "xml" and value != XML_NAMESPACE:
+            raise scanner.error("the 'xml' prefix cannot be rebound", pos)
+        if not value:
+            raise scanner.error(
+                f"namespace prefix {prefix!r} cannot be undeclared "
+                "in XML 1.0", pos)
+        element.declare_namespace(prefix, value)
 
     def _parse_attribute_value(self) -> str:
         scanner = self._scanner
@@ -365,6 +470,9 @@ class XMLParser:
         assert scanner is not None
         text = scanner.text
         text_run = _TEXT_RUN.match
+        # Every child is new and built here, so it is appended directly,
+        # without append_child's insertability checks.
+        children = element.children
         parts: list[str] = []
         pos = scanner.pos
         while True:
@@ -375,23 +483,28 @@ class XMLParser:
             ch = text[pos:pos + 1]
             if ch == "<":
                 if parts:
-                    element.append_child(Text("".join(parts)))
+                    child = Text("".join(parts))
+                    child.parent = element
+                    children.append(child)
                     parts.clear()
                 scanner.pos = pos
                 if text.startswith("</", pos):
                     return
                 if text.startswith("<!--", pos):
-                    element.append_child(self._parse_comment())
+                    child = self._parse_comment()
                 elif text.startswith("<![CDATA[", pos):
                     scanner.pos = pos + 9
                     data = scanner.read_until("]]>", "CDATA section")
-                    element.append_child(Text(data, is_cdata=True))
+                    self._check_chars(data, pos + 9, "CDATA section")
+                    child = Text(data, is_cdata=True)
                 elif text.startswith("<?", pos):
-                    element.append_child(self._parse_pi())
+                    child = self._parse_pi()
                 elif text.startswith("<!", pos):
                     raise scanner.error("markup declaration not allowed here")
                 else:
-                    element.append_child(self._parse_element(element))
+                    child = self._parse_element(element)
+                child.parent = element
+                children.append(child)
                 pos = scanner.pos
             elif ch == "&":
                 scanner.pos = pos
@@ -433,9 +546,11 @@ class XMLParser:
         scanner = self._scanner
         assert scanner is not None
         scanner.expect("<!--")
+        start = scanner.pos
         data = scanner.read_until("-->", "comment")
         if "--" in data or data.endswith("-"):
             raise scanner.error("'--' is not allowed inside comments")
+        self._check_chars(data, start, "comment")
         return Comment(data)
 
     def _parse_pi(self) -> ProcessingInstruction:
@@ -447,12 +562,29 @@ class XMLParser:
         if target.lower() == "xml":
             raise scanner.error(
                 "processing-instruction target 'xml' is reserved", start)
+        if self.namespaces and ":" in target:
+            # Namespaces in XML 1.0 §7: no PI target contains a colon.
+            line, column = scanner.location(start)
+            raise XMLNamespaceError(
+                f"processing-instruction target {target!r} contains a "
+                "colon", line, column)
         data = ""
         if scanner.skip_space():
+            data_start = scanner.pos
             data = scanner.read_until("?>", "processing instruction")
+            self._check_chars(data, data_start, "processing instruction")
         else:
             scanner.expect("?>", "'?>'")
         return ProcessingInstruction(target, data)
+
+    def _check_chars(self, data: str, start: int, what: str) -> None:
+        """Raise at the first character of *data* (which begins at
+        offset *start*) that is not a ``Char``."""
+        bad = _NON_CHAR.search(data)
+        if bad is not None:
+            raise self._scanner.error(
+                f"illegal character U+{ord(bad.group()):04X} in {what}",
+                start + bad.start())
 
     def _parse_reference(self) -> str:
         scanner = self._scanner
@@ -467,40 +599,32 @@ class XMLParser:
 
     # -- namespace well-formedness ------------------------------------------------
 
-    def _check_namespaces(self, element: Element,
-                          parent: Element | None) -> None:
-        scanner = self._scanner
-        assert scanner is not None
-        element.parent = parent
-        try:
-            prefix = element.prefix
-            if prefix is not None and element.lookup_namespace(prefix) is None:
+    def _check_namespaces(self, element: Element) -> None:
+        """Check the names of *element*, which is attached to its parent,
+        against the namespaces in scope.  (Its name is a QName already:
+        the :class:`Element` constructor checks that.)"""
+        prefix = element.prefix
+        if prefix is not None and element.lookup_namespace(prefix) is None:
+            raise XMLNamespaceError(
+                f"undeclared namespace prefix {prefix!r} on element "
+                f"<{element.name}>", element.line, element.column)
+        expanded_seen: set[tuple[str | None, str]] = set()
+        for attr in element.attributes:
+            if attr.is_namespace_decl:
+                continue
+            if not is_qname(attr.name):
                 raise XMLNamespaceError(
-                    f"undeclared namespace prefix {prefix!r} on element "
-                    f"<{element.name}>", element.line, element.column)
-            if not is_qname(element.name):
+                    f"attribute name {attr.name!r} is not a valid QName",
+                    attr.line, attr.column)
+            aprefix = attr.prefix
+            if aprefix is not None and \
+                    element.lookup_namespace(aprefix) is None:
                 raise XMLNamespaceError(
-                    f"element name {element.name!r} is not a valid QName",
-                    element.line, element.column)
-            expanded_seen: set[tuple[str | None, str]] = set()
-            for attr in element.attributes:
-                if attr.name == "xmlns" or attr.name.startswith("xmlns:"):
-                    continue
-                if not is_qname(attr.name):
-                    raise XMLNamespaceError(
-                        f"attribute name {attr.name!r} is not a valid QName",
-                        attr.line, attr.column)
-                aprefix = attr.prefix
-                if aprefix is not None and \
-                        element.lookup_namespace(aprefix) is None:
-                    raise XMLNamespaceError(
-                        f"undeclared namespace prefix {aprefix!r} on "
-                        f"attribute {attr.name!r}", attr.line, attr.column)
-                key = (attr.namespace_uri, attr.local_name)
-                if aprefix is not None and key in expanded_seen:
-                    raise XMLNamespaceError(
-                        f"duplicate attribute {{{key[0]}}}{key[1]}",
-                        attr.line, attr.column)
-                expanded_seen.add(key)
-        finally:
-            element.parent = None
+                    f"undeclared namespace prefix {aprefix!r} on "
+                    f"attribute {attr.name!r}", attr.line, attr.column)
+            key = (attr.namespace_uri, attr.local_name)
+            if aprefix is not None and key in expanded_seen:
+                raise XMLNamespaceError(
+                    f"duplicate attribute {{{key[0]}}}{key[1]}",
+                    attr.line, attr.column)
+            expanded_seen.add(key)

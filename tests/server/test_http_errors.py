@@ -146,6 +146,52 @@ class TestBodyFraming:
         assert _status_line(reply) == 413
         _assert_still_serving(server)
 
+    def test_over_limit_expect_put_is_413_without_100(self, server):
+        """The body is refused before the client is invited to send it:
+        one 413 with a close, then EOF."""
+        reply = _raw_exchange(
+            server,
+            b"PUT /models/x HTTP/1.1\r\nHost: h\r\n"
+            b"Expect: 100-continue\r\nContent-Length: 999999\r\n\r\n")
+        status, error = _only_response(reply)
+        assert status == 413
+        assert "limit" in error
+        _assert_still_serving(server)
+
+    @pytest.mark.parametrize("length", [b"banana", b"-5"])
+    def test_invalid_length_expect_put_is_400_without_100(self, server,
+                                                          length):
+        reply = _raw_exchange(
+            server,
+            b"PUT /models/x HTTP/1.1\r\nHost: h\r\n"
+            b"Expect: 100-continue\r\nContent-Length: " + length
+            + b"\r\n\r\n")
+        status, error = _only_response(reply)
+        assert status == 400
+        assert "Content-Length" in error
+        _assert_still_serving(server)
+
+    def test_expect_put_within_the_limit_reads_100_then_its_answer(
+            self, server):
+        with socket.create_connection((server.host, server.port),
+                                      timeout=10.0) as sock:
+            sock.sendall(
+                b"PUT /models/expect HTTP/1.1\r\nHost: h\r\n"
+                b"Expect: 100-continue\r\nConnection: close\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(SALES_XML))
+            interim = b""
+            while not interim.endswith(b"\r\n\r\n"):
+                chunk = sock.recv(1)
+                assert chunk, interim
+                interim += chunk
+            assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(SALES_XML)
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        assert _status_line(reply) in (200, 201)
+        _assert_still_serving(server)
+
     def test_stalled_body_read_is_408(self, server):
         """Promise 100 bytes, send none: the 1 s read timeout answers
         408 and closes instead of parking the handler thread."""

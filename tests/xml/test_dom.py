@@ -253,3 +253,31 @@ class TestTraversal:
     def test_text_content(self):
         doc, root, first, second = build_sample()
         assert root.text_content() == "hello world"
+
+
+def _slots(cls) -> list[str]:
+    return [name for klass in cls.__mro__
+            for name in getattr(klass, "__slots__", ())]
+
+
+class TestParserConstructors:
+    """``Element.parsed`` / ``Attribute.parsed`` skip the name checks but
+    must set every field ``__init__`` sets, to the same value."""
+
+    def test_element_fields_match_init(self):
+        parent = Element("p")
+        built = Element("e", line=3, column=7)
+        built.parent = parent
+        parsed = Element.parsed("e", 3, 7, parent)
+        for name in _slots(Element):
+            assert getattr(parsed, name) == getattr(built, name), name
+
+    @pytest.mark.parametrize("name", ["a", "xmlns", "xmlns:p", "p:a"])
+    def test_attribute_fields_match_init(self, name):
+        owner = Element("e")
+        built = Attribute(name, "v", line=2, column=5)
+        built.parent = owner
+        parsed = Attribute.parsed(name, "v", 2, 5, owner,
+                                  built.is_namespace_decl)
+        for slot in _slots(Attribute):
+            assert getattr(parsed, slot) == getattr(built, slot), slot

@@ -95,6 +95,31 @@ class TestXmlDeclaration:
         with pytest.raises(XMLSyntaxError):
             parse('<?xml version="1.0" standalone="maybe"?><a/>')
 
+    @pytest.mark.parametrize("name", ["UT?>F-8", "U\x01TF-8", "UTF-8 ",
+                                      "8859-1", "", "UTF\u20208"])
+    def test_malformed_encoding_name_rejected(self, name):
+        text = f'<?xml version="1.0" encoding="{name}"?><a/>'
+        with pytest.raises(XMLSyntaxError) as info:
+            parse(text)
+        assert info.value.message == f"malformed encoding name {name!r}"
+        assert info.value.column == text.rindex("?>") + 1
+
+    @pytest.mark.parametrize("text,before", [
+        ('<?xml version="1.0"encoding="UTF-8"?><a/>', "encoding"),
+        ('<?xml version="1.0"standalone="yes"?><a/>', "standalone"),
+        ("<?xml version='1.0' encoding='UTF-8'standalone='no'?><a/>",
+         "standalone"),
+    ])
+    def test_space_required_between_pseudo_attributes(self, text, before):
+        with pytest.raises(XMLSyntaxError,
+                           match=f"white space required before '{before}'"):
+            parse(text)
+
+    def test_pseudo_attributes_separated_by_any_space(self):
+        doc = parse('<?xml version="1.0"\r\n\tencoding="ascii"\n'
+                    'standalone="no"?><a/>')
+        assert (doc.encoding, doc.standalone) == ("ascii", False)
+
 
 class TestDoctype:
     def test_doctype_name(self):
@@ -191,6 +216,30 @@ class TestCdataCommentsPis:
         with pytest.raises(XMLSyntaxError):
             parse("<a><?XML bad?></a>")
 
+    @pytest.mark.parametrize("text,what,column", [
+        ("<!--a\x00b--><a/>", "U+0000 in comment", 6),
+        ("<a><!--\ud800--></a>", "U+D800 in comment", 8),
+        ("<a><?pi x\ufffe?></a>", "U+FFFE in processing instruction", 10),
+        ("<?pi \x1f?><a/>", "U+001F in processing instruction", 6),
+        ("<a><![CDATA[x\x00]]></a>", "U+0000 in CDATA section", 14),
+    ])
+    def test_illegal_character_in_comment_pi_and_cdata(self, text, what,
+                                                       column):
+        with pytest.raises(XMLSyntaxError) as info:
+            parse(text)
+        assert info.value.message == f"illegal character {what}"
+        assert (info.value.line, info.value.column) == (1, column)
+
+    def test_pi_target_with_colon_rejected_under_namespaces(self):
+        with pytest.raises(XMLNamespaceError) as info:
+            parse("<a>\n<?x:y data?></a>")
+        assert info.value.message == \
+            "processing-instruction target 'x:y' contains a colon"
+        assert (info.value.line, info.value.column) == (2, 1)
+        pi = parse("<a><?x:y data?></a>", namespaces=False) \
+            .root_element.children[0]
+        assert (pi.target, pi.data) == ("x:y", "data")
+
     def test_prolog_comment_and_pi(self):
         doc = parse("<!-- hi --><?p d?><a/>")
         assert [c.kind for c in doc.children] == \
@@ -266,6 +315,20 @@ class TestBytesInput:
     def test_utf16_le_bom(self):
         doc = parse("<a>x</a>".encode("utf-16"))
         assert doc.root_element.text_content() == "x"
+
+    @pytest.mark.parametrize("data", [
+        b"\xef\xbb\xbf\xef\xbb\xbf<a/>",
+        "\ufeff<a/>".encode("utf-16"),
+        "\ufeff<a/>".encode("utf-16-be").join((b"\xfe\xff", b"")),
+    ])
+    def test_second_bom_rejected(self, data):
+        with pytest.raises(XMLSyntaxError, match="expected document element"):
+            parse(data)
+
+    def test_one_bom_stripped_from_a_string(self):
+        assert parse("\ufeff<a/>").root_element.name == "a"
+        with pytest.raises(XMLSyntaxError):
+            parse("\ufeff\ufeff<a/>")
 
     def test_bytes_invalid_in_their_encoding_are_a_syntax_error(self):
         with pytest.raises(XMLSyntaxError,

@@ -19,7 +19,9 @@ The inputs:
   or a replacement from a palette of markup fragments and characters
   that are illegal, normalized or special somewhere, or a truncation;
 * seeded byte-level mutants that exercise decoding: BOMs, declared
-  encodings, bytes invalid in their encoding and unknown encodings.
+  encodings, bytes invalid in their encoding and unknown encodings;
+* seeded small documents whose start tags vary (:func:`tag_document`),
+  and two start tags of 5,000 attributes each.
 
 The corpus pins the parser's observable behaviour so a rewrite of its
 scanning can be checked entry by entry.  Re-record it (only after an
@@ -86,6 +88,36 @@ ENCODINGS = ("utf-8", "UTF-8", "ISO-8859-1", "latin-1", "utf-16", "ascii",
 BYTE_PALETTE = (b"\xff", b"\xfe", b"\xc3", b"\xe2\x82", b"\x80",
                 b"\xed\xa0\x80", b"\xf4\x90\x80\x80", b"\xc3\xa9", b"\x00",
                 b"\xef\xbb\xbf")
+
+TAG_DOCUMENTS = 400
+#: Attributes of each of the two long start tags that end the family.
+LONG_TAG_ATTRIBUTES = 5000
+#: Heads of element and attribute names, non-ASCII NameChars included;
+#: a tag's attribute names get the attribute's index appended.
+TAG_NAMES = ("a", "e", "id", "name", "_u", "data-v", "a.b", "\u00e9",
+             "\u00f1ame", "x\u00b7y", "a\u0300", "\u03a9mega",
+             "\u540d\u524d")
+#: White space a start tag's separators are drawn from.
+TAG_SPACE = (" ", " ", " ", "  ", "\n", "\r", "\r\n", "\t", " \r\n\t")
+#: Attribute-value pieces that need no attention.
+PLAIN_VALUES = ("v", "1", "x y", "\u00e9", "", "/>", ">", "=")
+#: Legal attribute-value pieces that are references or are normalized.
+NORMALIZED_VALUES = ("&amp;", "&#x41;", "&#65;", "&lt;", "&quot;", "\t",
+                     "\n", "\r", "\r\n", "\r\r\n")
+#: Attribute-value pieces that make the document ill-formed.
+BAD_VALUES = ("<", "\x00", "\x0b", "\ufffe", "&bogus;", "&#0;", "&x",
+              "&")
+#: Names that are not XML names, or not QNames.
+BAD_NAMES = ("1a", "-a", ".a", ":a", "a:", "p:q:r", "\u00b7a")
+#: Namespace declarations that are not allowed.
+BAD_DECLARATIONS = (" xmlns:p=''", ' xmlns:xmlns="urn:x"',
+                    " xmlns:xml='urn:x'")
+#: The one fault a start tag of a family document may carry.
+TAG_FAULTS = ("duplicate-adjacent", "duplicate-far", "missing-space",
+              "no-value", "unquoted", "bad-value", "unterminated",
+              "bad-name", "undeclared-element-prefix",
+              "undeclared-attribute-prefix", "same-expanded-name",
+              "bad-declaration", "bad-close")
 
 
 def _tree(node) -> list:
@@ -214,6 +246,137 @@ def byte_mutant(rng: random.Random, bases: list[tuple[str, str]]
             data[:pos] + chunk + data[pos:])
 
 
+def _space(rng: random.Random, odds: float) -> str:
+    """White space with probability *odds*, else nothing."""
+    return rng.choice(TAG_SPACE) if rng.random() < odds else ""
+
+
+def _tag_value(rng: random.Random, bad: bool = False) -> str:
+    """A quoted attribute value; *bad* puts an ill-formed piece in it."""
+    quote = rng.choice("\"'")
+    pieces = [rng.choice(PLAIN_VALUES) for _ in range(rng.randint(0, 3))]
+    if rng.random() < 0.3:
+        pieces.insert(rng.randrange(len(pieces) + 1),
+                      rng.choice(NORMALIZED_VALUES))
+    if rng.random() < 0.1:
+        pieces.append("'" if quote == '"' else '"')
+    if bad:
+        pieces.insert(rng.randrange(len(pieces) + 1), rng.choice(BAD_VALUES))
+    return quote + "".join(pieces) + quote
+
+
+def _start_tag(rng: random.Random, scope: frozenset, fault: str | None,
+               empty: bool) -> tuple[str, str, frozenset]:
+    """One start tag: ``(text, element name, prefixes in scope inside)``."""
+    items: list[list[str]] = []   # [name, '=' and value]
+    declared = set(scope)
+    if rng.random() < 0.2:
+        items.append(["xmlns", rng.choice(("='urn:d'", '=""'))])
+    for prefix in ("p", "q"):
+        if rng.random() < 0.15:
+            items.append([f"xmlns:{prefix}", f'="urn:{prefix}"'])
+            declared.add(prefix)
+    prefixes = sorted(declared)
+    for index in range(rng.choice((0, 0, 1, 2, 3, 5, 8, 13, 21, 40))):
+        name = f"{rng.choice(TAG_NAMES)}{index}"
+        if prefixes and rng.random() < 0.2:
+            name = f"{rng.choice(prefixes)}:{name}"
+        items.append([name, "=" + _tag_value(rng)])
+    if rng.random() < 0.1:
+        items.append(["xml:lang", '="en"'])
+    rng.shuffle(items)
+    name = rng.choice(TAG_NAMES)
+    if prefixes and rng.random() < 0.3:
+        name = f"{rng.choice(prefixes)}:{name}"
+    attributes = [i for i, item in enumerate(items)
+                  if not item[0].startswith("xmlns")]
+    if fault in ("duplicate-adjacent", "duplicate-far", "missing-space",
+                 "no-value", "unquoted", "bad-value") and \
+            len(attributes) < 3:
+        for index in range(3):
+            items.append([f"z{index}", "=" + _tag_value(rng)])
+            attributes.append(len(items) - 1)
+    if fault == "duplicate-adjacent":
+        at = rng.choice(attributes)
+        items.insert(at + 1, [items[at][0], "=" + _tag_value(rng)])
+    elif fault == "duplicate-far":
+        items.append([items[attributes[0]][0], "=" + _tag_value(rng)])
+    elif fault == "no-value":
+        items[rng.choice(attributes)][1] = ""
+    elif fault == "unquoted":
+        items[rng.choice(attributes)][1] = "=1"
+    elif fault == "bad-value":
+        items[rng.choice(attributes)][1] = "=" + _tag_value(rng, bad=True)
+    elif fault == "bad-name":
+        items.insert(rng.randrange(len(items) + 1),
+                     [rng.choice(BAD_NAMES), '="1"'])
+    elif fault == "undeclared-element-prefix":
+        name = "u:" + name
+    elif fault == "undeclared-attribute-prefix":
+        items.insert(rng.randrange(len(items) + 1), ["u:k", "='1'"])
+    elif fault == "same-expanded-name":
+        items[:0] = [["xmlns:s", '="urn:s"'], ["xmlns:t", "='urn:s'"]]
+        items.insert(rng.randrange(2, len(items) + 1), ["s:k", '="1"'])
+        items.insert(rng.randrange(2, len(items) + 1), ["t:k", "='2'"])
+    elif fault == "bad-declaration":
+        bad = rng.choice(BAD_DECLARATIONS).split("=")
+        items.insert(rng.randrange(len(items) + 1), [bad[0][1:], "=" + bad[1]])
+    separators = [rng.choice(TAG_SPACE) for _ in items]
+    if fault == "missing-space":
+        separators[rng.randrange(1, len(items))] = ""
+    text = "<" + name + "".join(
+        separators[i] + item[0] + (
+            _space(rng, 0.3) + "=" + _space(rng, 0.3) + item[1][1:]
+            if item[1] else "")
+        for i, item in enumerate(items))
+    close = "/>" if empty else ">"
+    if fault == "bad-close":
+        close = rng.choice(("/ >", "/", "//>", "?>"))
+    return text + _space(rng, 0.4) + close, name, frozenset(declared)
+
+
+def tag_document(rng: random.Random) -> tuple[str, str]:
+    """A small seeded document whose start tags vary: ``(fault, text)``.
+
+    The tags vary in attribute count, quotes, white space and line ends
+    around ``=`` and between attributes, references and normalized
+    characters in values, namespace declarations on inner elements,
+    prefixed names and non-ASCII NameChars; one tag in two documents
+    carries one fault from :data:`TAG_FAULTS`.
+    """
+    fault = rng.choice(TAG_FAULTS + (None,) * len(TAG_FAULTS))
+    count = rng.randint(1, 6)
+    faulty = rng.randrange(count)
+    parts: list[str] = []
+    stack: list[tuple[str, frozenset]] = []
+    for index in range(count):
+        while len(stack) > 1 and rng.random() < 0.3:
+            parts.append(f"</{stack.pop()[0]}{_space(rng, 0.2)}>")
+        empty = (index > 0 or count == 1) and rng.random() < 0.4
+        scope = stack[-1][1] if stack else frozenset()
+        tag, name, inner = _start_tag(
+            rng, scope, fault if index == faulty else None, empty)
+        if fault == "unterminated" and index == faulty:
+            parts.append(tag[:rng.randrange(1, len(tag))])
+            return fault, "".join(parts)
+        parts.append(tag)
+        if not empty:
+            stack.append((name, inner))
+        if stack:
+            parts.append(rng.choice(("", "t", "\n  ", "\r\n", " x ")))
+    while stack:
+        parts.append(f"</{stack.pop()[0]}{_space(rng, 0.2)}>")
+    return str(fault), "".join(parts)
+
+
+def long_tag_document(last_value: str) -> str:
+    """One start tag of :data:`LONG_TAG_ATTRIBUTES` attributes whose last
+    value is *last_value*."""
+    last = LONG_TAG_ATTRIBUTES - 1
+    attributes = "".join(f' a{index}="{index}"' for index in range(last))
+    return f'<r{attributes} a{last}="{last_value}"/>'
+
+
 def corpus():
     """Every ``(key, description, input)`` of the golden corpus, in order."""
     bases = base_inputs()
@@ -229,6 +392,13 @@ def corpus():
     for index in range(BYTE_MUTANTS):
         description, data = byte_mutant(rng, small)
         yield f"bytes:{index}", description, data
+    rng = random.Random("parser-golden-tags")
+    for index in range(TAG_DOCUMENTS):
+        fault, text = tag_document(rng)
+        yield f"tag:{index}", f"start tags, fault {fault}", text
+    for key, value in (("reference", "x&amp;y"), ("lt", "x<y")):
+        yield (f"tag:long-{key}", f"{LONG_TAG_ATTRIBUTES} attributes, "
+               f"last value {value!r}", long_tag_document(value))
 
 
 def _generate() -> dict[str, list]:
@@ -249,7 +419,7 @@ def test_corpus_is_large_enough():
     assert 0.2 * len(mutants) < errors < 0.8 * len(mutants)
 
 
-@pytest.mark.parametrize("family", ["base", "text", "bytes"])
+@pytest.mark.parametrize("family", ["base", "text", "bytes", "tag"])
 def test_parser_reproduces_golden_corpus(family):
     golden = _golden()
     checked = 0
