@@ -61,7 +61,7 @@ import sys
 import httpload
 from repro.mdm import model_to_xml, synthetic_model
 from repro.server import ModelServer
-from repro.testkit.chaos import parse_metrics
+from repro.testkit.live import parse_metrics
 
 #: Smoke gate: telemetry may at most 1.5x the warm p50.  Generous by
 #: design — at smoke sizes p50 is a handful of hundred microseconds and

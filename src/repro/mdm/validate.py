@@ -9,7 +9,7 @@ encodes in the XML Schema:
 * additivity rules name dimensions the fact actually shares (stronger
   than the schema can express — the CASE-tool layer of checking);
 * every classification hierarchy is a **DAG rooted in the dimension
-  class** ({dag}), checked with :mod:`networkx`;
+  class** ({dag}), checked with :mod:`graphlib`;
 * every level has exactly one identifying ({OID}) and at most one
   descriptor ({D}) attribute; a missing descriptor is a warning because
   OLAP export needs it (§2);
@@ -19,7 +19,8 @@ encodes in the XML Schema:
 
 from __future__ import annotations
 
-import networkx as nx
+from collections import deque
+from graphlib import CycleError, TopologicalSorter
 
 from ..xsd.errors import ValidationReport
 from .dimensions import DimensionClass
@@ -91,8 +92,7 @@ def _check_hierarchy_dag(dimension: DimensionClass,
                          report: ValidationReport) -> None:
     known = {dimension.id} | {
         level.id for level in dimension.iter_levels()}
-    graph = nx.DiGraph()
-    graph.add_node(dimension.id)
+    targets: dict[str, list[str]] = {}
     for source, target, _relation in dimension.hierarchy_edges():
         if target not in known:
             report.add(
@@ -100,11 +100,18 @@ def _check_hierarchy_dag(dimension: DimensionClass,
                 f"references unknown level {target!r}",
                 path=dimension.id, code="mdm-dangling-level")
             continue
-        graph.add_edge(source, target)
+        targets.setdefault(source, []).append(target)
 
-    if not nx.is_directed_acyclic_graph(graph):
-        cycle = nx.find_cycle(graph)
-        shown = " -> ".join(edge[0] for edge in cycle)
+    # TopologicalSorter takes node → predecessors; its CycleError lists
+    # one cycle in edge order, first node repeated at the end.
+    sources: dict[str, set[str]] = {}
+    for source, outgoing in targets.items():
+        for target in outgoing:
+            sources.setdefault(target, set()).add(source)
+    try:
+        TopologicalSorter(sources).prepare()
+    except CycleError as error:
+        shown = " -> ".join(error.args[1][:-1])
         report.add(
             f"dimension {dimension.name!r}: classification hierarchy has a "
             f"cycle ({shown}) — the {{dag}} constraint is violated",
@@ -112,7 +119,13 @@ def _check_hierarchy_dag(dimension: DimensionClass,
         return
 
     # Rooted: every level reachable from the dimension class.
-    reachable = nx.descendants(graph, dimension.id) | {dimension.id}
+    reachable = {dimension.id}
+    queue = deque(reachable)
+    while queue:
+        for target in targets.get(queue.popleft(), ()):
+            if target not in reachable:
+                reachable.add(target)
+                queue.append(target)
     for level in dimension.iter_levels():
         if level.id not in reachable and \
                 level not in dimension.categorization_levels:

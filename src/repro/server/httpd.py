@@ -98,6 +98,8 @@ _HEAD_END = (b"\r\n", b"\n", b"", b"\r")
 #: obs-fold continuation, a CR or NUL in the value — is a 400.
 _HEADER_LINE = re.compile(
     r"([!-9;-~]+):[ \t]*([^\r\n\x00]*)\r?\n?").fullmatch
+#: A Content-Length value: ``1*DIGIT`` (RFC 9110 §8.6), ASCII only.
+_DIGITS = re.compile(r"[0-9]+").fullmatch
 #: An HTTP version the stdlib (3.11 on) accepts: 1-10 digits each side.
 _VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})").fullmatch
 
@@ -381,12 +383,11 @@ class _RepositoryHandler(BaseHTTPRequestHandler):
         """The request's Content-Length (0 without one), or None after a
         400 or 413 was sent."""
         raw_length = self.headers.get("content-length")
-        try:
-            length = int(raw_length) if raw_length else 0
-        except ValueError:
-            self._fail(400, f"invalid Content-Length {raw_length!r}")
-            return None
-        if length < 0:
+        if not raw_length:
+            length = 0
+        elif _DIGITS(raw_length.strip(" \t")):
+            length = int(raw_length)
+        else:
             self._fail(400, f"invalid Content-Length {raw_length!r}")
             return None
         if length > self.max_body_bytes:

@@ -1,6 +1,6 @@
 """Differential conformance tooling for the paper's pipeline.
 
-Three layers (see DESIGN.md §9):
+Four layers (see DESIGN.md §9):
 
 * :mod:`repro.testkit.reference` — deliberately naive, cache-free
   oracles for document order, namespace resolution, XPath evaluation
@@ -11,9 +11,15 @@ Three layers (see DESIGN.md §9):
   XPath expressions) and their Hypothesis wrappers;
 * :mod:`repro.testkit.differential` / :mod:`repro.testkit.pipeline` —
   the comparisons themselves, plus the end-to-end model pipeline
-  harness, with a CLI entry point in :mod:`repro.testkit.run`::
+  harness;
+* :mod:`repro.testkit.chaos`, :mod:`repro.testkit.chaosmp` and
+  :mod:`repro.testkit.multiproc` — the families that check a live
+  server, over the shared plumbing of :mod:`repro.testkit.live`.
+
+One runner, :mod:`repro.testkit.run`, drives every family::
 
       python -m repro.testkit.run --seed 0 --budget 30
+      python -m repro.testkit.run --family chaos --seed 1 --budget 15
 """
 
 from .differential import (

@@ -1,12 +1,10 @@
-"""Fault-injection chaos harness for the model-repository server.
+"""The ``chaos`` family: fault plans against a live model server.
 
-Usage::
-
-    python -m repro.testkit.chaos --seed 0 --budget 30
-
-Boots a real :class:`~repro.server.httpd.ModelServer` and replays
-seed-derived rounds against it.  Each round is determined by
-``(seed, index)`` and has four beats:
+Run it with ``python -m repro.testkit.run --family chaos``.  The
+family's fixture is one :class:`~repro.server.httpd.ModelServer`,
+started once per run, whose models one :class:`ModelTracker` each
+bootstraps and warms.  Each iteration is one round, drawn from the
+family's RNG, and has four beats:
 
 1. **Mutate** (faults off): one model advances a version; expected page
    bytes for the new version are computed offline first, so every byte
@@ -22,9 +20,8 @@ seed-derived rounds against it.  Each round is determined by
    *under* the faults.  Warm rebuilds route through the incremental
    republisher (the cache already holds the previous build plus its
    dependency index), so the flip exercises the diff path specifically.
-4. **Recover** (faults off): every resource must come back fresh,
-   current, and unmarked; each query is fetched once, a seeded share of
-   them as XML.
+4. **Recover** (faults off): the :func:`recovery_sweep` — every
+   resource must come back fresh, current, and unmarked.
 
 Invariants checked on every response:
 
@@ -44,34 +41,33 @@ Invariants checked on every response:
   rolling ring may reclaim buckets, the lifetime counters may not);
   ``/dashboard`` must render once faults are off.
 
-Violations are written as JSON reproducers (like ``repro.testkit.run``)
-to ``--failures-dir`` and can be replayed with
-``--seed S --start R --rounds 1``.  Each response-level record carries
-the ``X-Goldcase-Request-Id`` of the offending exchange, so a failure
-can be joined against the server's access log (``--access-log``).
+Each violation record carries the round's fault plan, and each
+response-level one the ``X-Goldcase-Request-Id`` of the offending
+exchange, so a failure can be joined against the server's access log.
+:func:`check_response` and :func:`recovery_sweep` also serve the
+``chaosmp`` family, whose hammer runs with no plan armed.
 """
 
 from __future__ import annotations
 
-import argparse
-import hashlib
-import http.client
-import json
-import os
 import random
-import sys
 import threading
 import time
-
-from urllib.parse import urlencode
+from collections import Counter
+from contextlib import contextmanager
+from dataclasses import dataclass, field
+from typing import Iterator
 
 from ..faults import FAULTS, FaultPlan
 from ..mdm import model_to_xml, sales_model, two_facts_model
 from ..olap.service import DatasetConfig, OlapService, RESULT_FORMATS
 from ..server import ModelRepositoryApp, ModelServer
 from ..web import RepositoryClient, RetriesExhausted, RetryPolicy
+from ..web.client import query_path
+from .live import _sha, fetch, offline_pages, parse_metrics
 
-__all__ = ["ModelTracker", "parse_metrics", "run_round", "main"]
+__all__ = ["ModelTracker", "check_response", "recovery_sweep",
+           "run_round", "serving"]
 
 #: Points a random plan may draw from, with the modes that keep the
 #: server *degradable*: store faults are excluded because the harness
@@ -113,7 +109,7 @@ QUERY_POINTS = {
     "xml": EXECUTION_POINTS | {"xslt.transform"},
 }
 
-#: The share of hammer and recovery-sweep queries that ask for XML.
+#: The share of hammer queries that ask for XML.
 XML_QUERY_SHARE = 0.3
 
 #: Shrunken synthetic datasets so per-version oracle precomputation and
@@ -121,26 +117,9 @@ XML_QUERY_SHARE = 0.3
 #: the offline oracle renderer must share this config byte-for-byte.
 CHAOS_DATASET = DatasetConfig(members_per_level=4, rows_per_fact=300)
 
-
-def _sha(payload: bytes) -> str:
-    return hashlib.sha256(payload).hexdigest()
-
-
-def parse_metrics(text: str) -> dict[str, float]:
-    """Prometheus text exposition → ``{series-with-labels: value}``.
-
-    Raises ValueError on a malformed sample line, which the probe
-    reports as a violation — /metrics must stay parseable mid-storm.
-    """
-    samples: dict[str, float] = {}
-    for line in text.splitlines():
-        if not line.strip() or line.startswith("#"):
-            continue
-        key, _, value = line.rpartition(" ")
-        if not key:
-            raise ValueError(f"malformed metrics line {line!r}")
-        samples[key] = float(value)
-    return samples
+#: Concurrent hammer clients per round, and requests per client.
+CLIENTS = 6
+REQUESTS = 20
 
 
 def _metrics_violations(previous: dict[str, float],
@@ -205,68 +184,37 @@ def _metrics_probe(server: "ModelServer", plan: FaultPlan | None,
     return failures
 
 
-def _expected_pages(xml_bytes: bytes) -> dict[str, bytes]:
-    """Render the site for *xml_bytes* offline: the oracle bytes.
-
-    Must run with faults deactivated — the offline app shares the
-    process-global registry with the server under test.
-    """
-    assert not FAULTS.enabled, "oracle rendering must be fault-free"
-    app = ModelRepositoryApp()
-    response = app.handle("PUT", "/models/m", {}, xml_bytes)
-    assert response.status == 201, response.status
-    assert app.handle("GET", "/site/m/index.html").status == 200
-    entry = app.cache.peek("m", "multi")
-    pages = {}
-    for page in entry.etags:
-        body = app.handle("GET", f"/site/m/{page}")
-        assert body.status == 200
-        pages[page] = body.body
-    return pages
-
-
-def _query_string(**params) -> str:
-    """urlencode with list values repeating the parameter."""
-    pairs: list[tuple[str, str]] = []
-    for key, value in params.items():
-        if isinstance(value, (list, tuple)):
-            pairs += [(key, str(item)) for item in value]
-        else:
-            pairs.append((key, str(value)))
-    return urlencode(pairs)
-
-
-def _format_params(params: dict, fmt: str) -> dict:
-    """*params* asking for *fmt*: JSON is the default and sends none."""
-    return params if fmt == "json" else {**params, "format": fmt}
-
-
 def _pick_format(rng: random.Random) -> str:
     return "xml" if rng.random() < XML_QUERY_SHARE else "json"
 
 
-def _expected_queries(xml_bytes: bytes, queries: tuple[dict, ...]
+def _query_path(name: str, params: dict, fmt: str) -> str:
+    """The path of query *params* asking for *fmt* (JSON, the default,
+    sends no ``format``)."""
+    return query_path(name, params, None if fmt == "json" else fmt)
+
+
+def _expected_queries(name: str, xml_bytes: bytes, queries: tuple[dict, ...]
                       ) -> dict[str, dict[str, bytes]]:
-    """Execute the tracker's OLAP queries offline: the oracle bytes.
+    """Execute model *name*'s OLAP queries offline: the oracle bytes.
 
     Query results are deterministic per (model content hash, data seed,
     query), so an offline app with the same :data:`CHAOS_DATASET` yields
-    exactly the bytes the live server may serve.  The record name does
-    not matter: the rendering embeds the model's *XML* name.  Returns
-    format → {urlencoded query string as sent → body}.
+    exactly the bytes the live server may serve.  Returns format →
+    {request path → body}.
     """
     assert not FAULTS.enabled, "oracle execution must be fault-free"
     app = ModelRepositoryApp(olap=OlapService(dataset=CHAOS_DATASET))
-    response = app.handle("PUT", "/models/m", {}, xml_bytes)
+    response = app.handle("PUT", f"/models/{name}", {}, xml_bytes)
     assert response.status == 201, response.status
     bodies: dict[str, dict[str, bytes]] = {}
     for fmt in RESULT_FORMATS:
         bodies[fmt] = {}
         for params in queries:
-            encoded = _query_string(**_format_params(params, fmt))
-            result = app.handle("GET", f"/olap/m/query?{encoded}")
+            path = _query_path(name, params, fmt)
+            result = app.handle("GET", path)
             assert result.status == 200, (result.status, result.body)
-            bodies[fmt][encoded] = result.body
+            bodies[fmt][path] = result.body
     return bodies
 
 
@@ -282,10 +230,8 @@ class ModelTracker:
         self.version = 0
         self.current_xml = base_xml
         self.current_pages: dict[str, bytes] = {}
-        #: OLAP query parameter dicts the hammer fires via
-        #: :meth:`RepositoryClient.query_cube`; oracle bodies are keyed
-        #: by format, then by their urlencoded form as sent (see
-        #: :func:`_query_string` and :func:`_format_params`).
+        #: OLAP query parameter dicts the hammer fires; oracle bodies
+        #: are keyed by format, then by request path (:func:`_query_path`).
         self.queries = queries
         self.current_queries: dict[str, dict[str, bytes]] = {}
         #: Every XML body ever current (raw-model responses must match).
@@ -299,18 +245,22 @@ class ModelTracker:
         self._pending: tuple[int, bytes, dict[str, bytes],
                              dict[str, dict[str, bytes]]] | None = None
 
-    def _record_queries(self, queries: dict[str, dict[str, bytes]]
-                        ) -> None:
+    def _render(self, xml: bytes) -> tuple[dict[str, bytes],
+                                           dict[str, dict[str, bytes]]]:
+        """The oracle bytes of version *xml*, each added to the history
+        of what the server may serve (faults must be off)."""
+        pages = offline_pages(xml)
+        queries = _expected_queries(self.name, xml, self.queries)
+        self.xml_history.add(xml)
+        self.page_shas.update(_sha(b) for b in pages.values())
         for fmt, bodies in queries.items():
             self.query_shas[fmt].update(_sha(b) for b in bodies.values())
+        return pages, queries
 
     def bootstrap(self, store) -> None:
         """Install version 0 in the server and record its oracle."""
-        self.current_pages = _expected_pages(self.base_xml)
-        self.page_shas.update(_sha(b) for b in self.current_pages.values())
-        self.current_queries = _expected_queries(self.base_xml,
-                                                 self.queries)
-        self._record_queries(self.current_queries)
+        self.current_pages, self.current_queries = self._render(
+            self.base_xml)
         store.put(self.name, self.base_xml)
 
     def _xml_for(self, version: int) -> bytes:
@@ -329,12 +279,7 @@ class ModelTracker:
             return
         version = self.version + 1
         xml = self._xml_for(version)
-        pages = _expected_pages(xml)
-        queries = _expected_queries(xml, self.queries)
-        self.xml_history.add(xml)
-        self.page_shas.update(_sha(b) for b in pages.values())
-        self._record_queries(queries)
-        self._pending = (version, xml, pages, queries)
+        self._pending = (version, xml, *self._render(xml))
 
     def flip(self, store) -> None:
         """Make the precomputed version current in the live server."""
@@ -372,10 +317,6 @@ def default_trackers() -> list[ModelTracker]:
                      model_to_xml(two_facts_model()).encode("utf-8"),
                      b"Retail DW", queries=retail_queries),
     ]
-
-
-def round_rng(seed: int, index: int) -> random.Random:
-    return random.Random(f"chaos:{seed}:{index}")
 
 
 def random_plan(rng: random.Random) -> FaultPlan:
@@ -433,12 +374,14 @@ def _coalescing_burst(app: ModelRepositoryApp, tracker: ModelTracker,
     return failures
 
 
-def _check_response(kind: str, path: str, response,
-                    tracker: ModelTracker, plan: FaultPlan,
-                    fmt: str) -> dict | None:
-    """Apply the hammer-phase invariants to one completed exchange
-    (*fmt* is the format a query asked for)."""
-    raise_points = {point for point, spec in plan.specs.items()
+def check_response(kind: str, path: str, response, tracker: ModelTracker,
+                   plan: FaultPlan | None = None,
+                   fmt: str = "json") -> dict | None:
+    """Apply the hammer invariants to one completed exchange (*fmt* is
+    the format a query asked for).  With no *plan* armed, only an
+    overload shed excuses a non-200."""
+    armed = {} if plan is None else plan.specs
+    raise_points = {point for point, spec in armed.items()
                     if spec.mode == "raise"}
     if kind == "health":
         if response.status not in (200, 503):
@@ -456,7 +399,7 @@ def _check_response(kind: str, path: str, response,
         if raise_points & explaining:
             return None
         return {"check": "unexplained-5xx", "path": path,
-                "detail": f"500 with plan {sorted(plan.specs)}"}
+                "detail": f"500 with plan {sorted(armed)}"}
     if response.status != 200:
         return {"check": "unexpected-status", "path": path,
                 "detail": f"status {response.status}"}
@@ -474,8 +417,7 @@ def _check_response(kind: str, path: str, response,
                     "detail": f"unexpected sha {digest[:12]}"}
         if stale == "true" and not raise_points & EXECUTION_POINTS:
             return {"check": "unexplained-stale", "path": path,
-                    "detail": f"stale query with plan "
-                              f"{sorted(plan.specs)}"}
+                    "detail": f"stale query with plan {sorted(armed)}"}
         return None
     if digest not in tracker.page_shas:
         return {"check": "torn-page-bytes", "path": path,
@@ -485,13 +427,11 @@ def _check_response(kind: str, path: str, response,
 
 
 def _hammer(server: ModelServer, trackers: list[ModelTracker],
-            plan: FaultPlan, seed: int, index: int, clients: int,
-            requests: int, flip: ModelTracker,
-            metrics_state: dict) -> tuple[list[dict], dict]:
+            plan: FaultPlan, seed: int, index: int, flip: ModelTracker,
+            metrics_state: dict) -> tuple[list[dict], Counter]:
     """Concurrent clients under the active plan, plus a mid-phase flip."""
     failures: list[dict] = []
-    counts = {"requests": 0, "queries": 0, "stale": 0, "shed": 0,
-              "drops": 0, "retries": 0}
+    counts: Counter = Counter()
     lock = threading.Lock()
 
     def worker(worker_id: int) -> None:
@@ -499,7 +439,7 @@ def _hammer(server: ModelServer, trackers: list[ModelTracker],
         policy = RetryPolicy(retries=2, base_delay_s=0.01, max_delay_s=0.2)
         with RepositoryClient(server.host, server.port, timeout_s=10.0,
                               policy=policy, rng=rng) as client:
-            for _ in range(requests):
+            for _ in range(REQUESTS):
                 tracker = rng.choice(trackers)
                 kind = rng.choice(
                     ["model", "index", "page", "query", "health"])
@@ -512,19 +452,14 @@ def _hammer(server: ModelServer, trackers: list[ModelTracker],
                     path = f"/site/{tracker.name}/index.html"
                 elif kind == "query":
                     fmt = _pick_format(rng)
-                    params = _format_params(rng.choice(tracker.queries),
-                                            fmt)
-                    path = (f"/olap/{tracker.name}/query?"
-                            f"{_query_string(**params)}")
+                    path = _query_path(tracker.name,
+                                       rng.choice(tracker.queries), fmt)
                 else:
                     page = rng.choice(sorted(tracker.current_pages))
                     path = f"/site/{tracker.name}/{page}"
                 record: dict | None = None
                 try:
-                    if kind == "query":
-                        response = client.query_cube(tracker.name, params)
-                    else:
-                        response = client.request("GET", path)
+                    response = client.request("GET", path)
                 except TimeoutError:
                     record = {"check": "hung-connection", "path": path,
                               "detail": "client read timed out"}
@@ -538,7 +473,7 @@ def _hammer(server: ModelServer, trackers: list[ModelTracker],
                         record = {"check": "unexplained-drop",
                                   "path": path, "detail": str(exc)}
                 else:
-                    record = _check_response(
+                    record = check_response(
                         kind, path, response, tracker, plan, fmt)
                 if record is not None and response is not None:
                     # Join key into the server's access log.
@@ -557,7 +492,7 @@ def _hammer(server: ModelServer, trackers: list[ModelTracker],
                         failures.append(record)
 
     threads = [threading.Thread(target=worker, args=(worker_id,))
-               for worker_id in range(clients)]
+               for worker_id in range(CLIENTS)]
     for thread in threads:
         thread.start()
     # Mid-phase: force rebuilds to happen *under* the active faults.
@@ -575,77 +510,89 @@ def _hammer(server: ModelServer, trackers: list[ModelTracker],
     return failures, counts
 
 
-def _recovery_sweep(server: ModelServer, trackers: list[ModelTracker],
-                    rng: random.Random) -> list[dict]:
-    """Faults off: everything must be current, fresh, and healthy.
-
-    Each query is fetched once, in the format *rng* picks.
-    """
+def recovery_sweep(server, trackers: list[ModelTracker], *,
+                   passes: int = 1) -> list[dict]:
+    """Faults off and every worker up: each model, page and query result
+    (in every format) must be current, unmarked and byte-identical to
+    the oracle, ``/dashboard`` must render and each model's health must
+    be 200.  Every request opens a fresh connection, so a fleet spreads
+    its passes over its workers."""
     failures: list[dict] = []
-    connection = http.client.HTTPConnection(
-        server.host, server.port, timeout=30)
 
-    def fetch(path: str):
-        connection.request("GET", path)
-        response = connection.getresponse()
-        return response, response.read()
-
-    try:
-        response, body = fetch("/dashboard")
-        if response.status != 200 or b"goldcase ops" not in body:
+    def expect(check: str, tracker: ModelTracker, path: str,
+               expected: bytes) -> None:
+        response = fetch(server, "GET", path)
+        stale = response.header("X-Goldcase-Stale")
+        if response.status != 200 or response.body != expected or stale:
             failures.append({
-                "check": "recovery-dashboard",
-                "detail": f"status {response.status}"})
+                "check": check, "model": tracker.name, "path": path,
+                "detail": f"status {response.status} stale={stale} "
+                          f"sha {_sha(response.body)[:12]} "
+                          f"want {_sha(expected)[:12]}"})
+
+    for _ in range(passes):
+        response = fetch(server, "GET", "/dashboard")
+        if response.status != 200 or b"goldcase ops" not in response.body:
+            failures.append({"check": "recovery-dashboard",
+                             "detail": f"status {response.status}"})
         for tracker in trackers:
-            response, body = fetch(f"/models/{tracker.name}")
-            if response.status != 200 or body != tracker.current_xml:
-                failures.append({
-                    "check": "recovery-model", "model": tracker.name,
-                    "detail": f"status {response.status}"})
+            expect("recovery-model", tracker, f"/models/{tracker.name}",
+                   tracker.current_xml)
             for page, expected in sorted(tracker.current_pages.items()):
-                response, body = fetch(f"/site/{tracker.name}/{page}")
-                stale = response.getheader("X-Goldcase-Stale")
-                if response.status != 200 or body != expected or stale:
-                    failures.append({
-                        "check": "recovery-page", "model": tracker.name,
-                        "page": page,
-                        "detail": f"status {response.status} stale={stale} "
-                                  f"sha {_sha(body)[:12]} "
-                                  f"want {_sha(expected)[:12]}"})
-            for params in tracker.queries:
-                fmt = _pick_format(rng)
-                encoded = _query_string(**_format_params(params, fmt))
-                expected = tracker.current_queries[fmt][encoded]
-                response, body = fetch(
-                    f"/olap/{tracker.name}/query?{encoded}")
-                stale = response.getheader("X-Goldcase-Stale")
-                if response.status != 200 or body != expected or stale:
-                    failures.append({
-                        "check": "recovery-query", "model": tracker.name,
-                        "query": encoded,
-                        "detail": f"status {response.status} stale={stale} "
-                                  f"sha {_sha(body)[:12]} "
-                                  f"want {_sha(expected)[:12]}"})
-            response, body = fetch(f"/health/{tracker.name}")
+                expect("recovery-page", tracker,
+                       f"/site/{tracker.name}/{page}", expected)
+            for bodies in tracker.current_queries.values():
+                for path, expected in sorted(bodies.items()):
+                    expect("recovery-query", tracker, path, expected)
+            response = fetch(server, "GET", f"/health/{tracker.name}")
             if response.status != 200:
+                body = response.body.decode("utf-8", "replace")
                 failures.append({
                     "check": "recovery-health", "model": tracker.name,
-                    "detail": f"status {response.status}: "
-                              f"{body.decode('utf-8', 'replace')[:200]}"})
-    finally:
-        connection.close()
+                    "detail": f"status {response.status}: {body[:200]}"})
     return failures
 
 
-def run_round(server: ModelServer, trackers: list[ModelTracker],
-              seed: int, index: int, *, clients: int = 6,
-              requests: int = 20,
-              metrics_state: dict | None = None) -> tuple[list[dict], dict]:
-    """One chaos round; returns (failure records, counters)."""
-    rng = round_rng(seed, index)
+@dataclass
+class ChaosServer:
+    """The family's fixture: one live server and its models' trackers."""
+
+    server: ModelServer
+    trackers: list[ModelTracker]
+    #: The previous ``/metrics`` scrape, for monotonicity across rounds.
+    metrics_state: dict = field(default_factory=dict)
+    #: Requests, queries, stale answers, sheds, drops, retries and fired
+    #: faults, summed over the run's rounds.
+    totals: Counter = field(default_factory=Counter)
+
+
+@contextmanager
+def serving() -> Iterator[ChaosServer]:
+    """Start the fixture: the server shares the oracle's dataset (or no
+    query body would match), and each model's site is built before the
+    first round, so round 0 measures degradation, not cold builds."""
+    app = ModelRepositoryApp(olap=OlapService(dataset=CHAOS_DATASET))
+    trackers = default_trackers()
+    with ModelServer(app) as server:
+        for tracker in trackers:
+            tracker.bootstrap(app.store)
+            assert app.handle(
+                "GET", f"/site/{tracker.name}/index.html").status == 200
+        yield ChaosServer(server, trackers)
+
+
+def context(fixture: ChaosServer) -> dict:
+    """The run-level record: the site cache's counters and the totals."""
+    return {"check": "cache-stats",
+            "stats": fixture.server.app.cache.stats(),
+            "totals": dict(fixture.totals)}
+
+
+def run_round(rng: random.Random, seed: int, index: int,
+              fixture: ChaosServer) -> list[dict]:
+    """One chaos round, drawn from *rng*; returns its violations."""
+    server, trackers = fixture.server, fixture.trackers
     failures: list[dict] = []
-    if metrics_state is None:
-        metrics_state = {}
 
     FAULTS.deactivate()
     target = rng.choice(trackers)
@@ -653,141 +600,26 @@ def run_round(server: ModelServer, trackers: list[ModelTracker],
     flip = rng.choice(trackers)
     flip.precompute_next()
 
-    failures.extend(_coalescing_burst(server.app, target, clients))
+    failures.extend(_coalescing_burst(server.app, target, CLIENTS))
 
     plan = random_plan(rng)
     FAULTS.activate(plan)
     try:
         hammered, counts = _hammer(server, trackers, plan, seed, index,
-                                   clients, requests, flip, metrics_state)
+                                   flip, fixture.metrics_state)
         failures.extend(hammered)
     finally:
         fired = FAULTS.fired()
         FAULTS.deactivate()
     counts["faults_fired"] = sum(fired.values())
+    fixture.totals.update(counts)
 
-    failures.extend(_recovery_sweep(server, trackers, rng))
+    failures.extend(recovery_sweep(server, trackers))
     # Faults are off: the scrape must succeed and stay monotonic
     # relative to the mid-storm scrape.
     failures.extend(_metrics_probe(
-        server, None, metrics_state, phase="recovery"))
+        server, None, fixture.metrics_state, phase="recovery"))
 
     for record in failures:
-        record.setdefault("seed", seed)
-        record.setdefault("round", index)
         record.setdefault("plan", plan.describe())
-    return failures, counts
-
-
-def _write_reproducers(directory: str, seed: int,
-                       failures: list[dict]) -> str:
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, f"seed{seed}-chaos-failures.json")
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(failures, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-    return path
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.testkit.chaos",
-        description="Chaos harness: randomized fault schedules against "
-                    "a live model-repository server.")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="base seed; round r uses RNG(chaos:seed:r)")
-    parser.add_argument("--budget", type=float, default=30.0,
-                        help="time budget in seconds (default 30)")
-    parser.add_argument("--rounds", type=int, default=None,
-                        help="run exactly N rounds, ignoring --budget")
-    parser.add_argument("--start", type=int, default=0,
-                        help="first round index (for replaying one "
-                             "failing round)")
-    parser.add_argument("--clients", type=int, default=6,
-                        help="concurrent clients per round (default 6)")
-    parser.add_argument("--requests", type=int, default=20,
-                        help="requests per client per round (default 20)")
-    parser.add_argument("--failures-dir", default="chaos-failures",
-                        help="directory for JSON reproducers of violations")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress per-round progress output")
-    args = parser.parse_args(argv)
-
-    started = time.monotonic()
-    FAULTS.deactivate()  # a GOLDCASE_FAULTS env plan would skew oracles
-    trackers = default_trackers()
-    all_failures: list[dict] = []
-    totals = {"requests": 0, "queries": 0, "stale": 0, "shed": 0,
-              "drops": 0, "retries": 0, "faults_fired": 0}
-    completed = 0
-    index = args.start
-    metrics_state: dict = {}
-    # The live server must share the oracle's (shrunken) dataset config,
-    # or query bodies would never match the offline renderings.
-    app = ModelRepositoryApp(olap=OlapService(dataset=CHAOS_DATASET))
-    with ModelServer(app) as server:
-        for tracker in trackers:
-            tracker.bootstrap(server.app.store)
-            # Warm the cache so round 1 measures degradation, not
-            # cold-start builds.
-            assert server.app.handle(
-                "GET", f"/site/{tracker.name}/index.html").status == 200
-        try:
-            while True:
-                if args.rounds is not None:
-                    if completed >= args.rounds:
-                        break
-                elif completed > 0 and \
-                        time.monotonic() - started >= args.budget:
-                    break
-                failures, counts = run_round(
-                    server, trackers, args.seed, index,
-                    clients=args.clients, requests=args.requests,
-                    metrics_state=metrics_state)
-                completed += 1
-                for key, value in counts.items():
-                    totals[key] += value
-                if failures:
-                    all_failures.extend(failures)
-                    print(f"round {index}: {len(failures)} violation(s)",
-                          file=sys.stderr)
-                    for record in failures[:5]:
-                        print(f"  {json.dumps(record, sort_keys=True)}",
-                              file=sys.stderr)
-                elif not args.quiet:
-                    print(f"round {index}: ok — "
-                          f"{counts['requests']} requests "
-                          f"({counts['queries']} queries), "
-                          f"{counts['faults_fired']} faults fired, "
-                          f"{counts['stale']} stale, "
-                          f"{counts['shed']} shed, "
-                          f"{counts['drops']} drops")
-                index += 1
-        finally:
-            FAULTS.deactivate()
-
-    elapsed = time.monotonic() - started
-    summary = (f"{completed} rounds, {totals['requests']} requests "
-               f"({totals['queries']} queries), "
-               f"{totals['faults_fired']} faults fired, "
-               f"{totals['stale']} stale, {totals['shed']} shed, "
-               f"{totals['drops']} drops, {elapsed:.1f}s")
-    if all_failures:
-        bad = sorted({record["round"] for record in all_failures})
-        all_failures.append({
-            "check": "cache-stats", "seed": args.seed, "round": -1,
-            "stats": server.app.cache.stats(), "totals": totals,
-        })
-        path = _write_reproducers(
-            args.failures_dir, args.seed, all_failures)
-        print(f"chaos: FAIL — {len(all_failures) - 1} violation(s) "
-              f"across rounds {bad}; {summary}; reproducers: {path}")
-        print(f"replay one with: python -m repro.testkit.chaos "
-              f"--seed {args.seed} --start {bad[0]} --rounds 1")
-        return 1
-    print(f"chaos: OK — 0 violations; {summary}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    return failures

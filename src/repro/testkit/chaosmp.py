@@ -1,20 +1,18 @@
-"""Worker-kill chaos for the pre-fork server.
+"""The ``chaosmp`` family: worker kills against the pre-fork fleet.
 
-Usage::
-
-    python -m repro.testkit.chaosmp --seed 0 --budget 30 --workers 2
-
-The single-process chaos harness (:mod:`repro.testkit.chaos`) injects
-*faults*; this harness injects *death*.  Every round SIGKILLs a random
-worker of a live :class:`~repro.server.workers.MultiWorkerServer`
-mid-traffic — no fault plan is active, the kill IS the chaos — and
-checks the fleet-level invariants:
+Run it with ``python -m repro.testkit.run --family chaosmp``.  The
+``chaos`` family (:mod:`repro.testkit.chaos`) injects *faults*; this one
+injects *death*.  Its fixture is a live two-worker
+:class:`~repro.server.workers.MultiWorkerServer`, started once per run.
+Every round SIGKILLs a random worker mid-traffic — no fault plan is
+active, the kill IS the chaos — and checks the fleet-level invariants:
 
 * **no hangs, no torn bytes**: every in-flight request either completes
-  with bytes byte-identical to some expected version (oracles are the
-  same offline renderings the single-process harness uses) or dies with
-  a *clean* transport error (connection reset by the dying worker); a
-  client read timeout is always a violation;
+  with bytes byte-identical to some expected version (the chaos
+  family's :func:`~repro.testkit.chaos.check_response` with no plan
+  armed, over the same offline oracles) or dies with a *clean*
+  transport error (connection reset by the dying worker); a client
+  read timeout is always a violation;
 * **survivors stay correct**: requests landing on surviving workers
   keep serving current-version bytes throughout the storm;
 * **respawn is warm**: the supervisor forks a replacement under the
@@ -22,83 +20,61 @@ checks the fleet-level invariants:
   on-disk artifact store — its site cache reports zero rebuilds and at
   least one disk hit (it never re-renders what the fleet already
   rendered);
-* **recovery is total**: with the fleet whole again, every model byte,
-  site page, and OLAP query result is current, unmarked, and
+* **recovery is total**: with the fleet whole again, two passes of the
+  chaos family's :func:`~repro.testkit.chaos.recovery_sweep` find every
+  model byte, site page and OLAP query result current, unmarked and
   byte-identical to the offline oracle, and ``/metrics`` reports the
   full worker count again.
-
-Rounds are deterministic per ``(seed, index)``; violations are written
-as JSON reproducers replayable with ``--seed S --start R --rounds 1``.
 """
 
 from __future__ import annotations
 
-import argparse
-import hashlib
-import http.client
 import json
-import os
 import random
-import sys
+import tempfile
 import threading
 import time
+from contextlib import contextmanager
+from typing import Iterator
 
-from ..faults import FAULTS
 from ..server import MultiWorkerServer
+from ..web import RetriesExhausted
+from ..web.client import query_path
 from .chaos import (
     CHAOS_DATASET,
     ModelTracker,
-    _query_string,
+    check_response,
     default_trackers,
-    parse_metrics,
+    recovery_sweep,
 )
-from .run import _write_reproducers
+from .live import WORKERS, _sha, fetch, parse_metrics
 
-__all__ = ["run_round", "main"]
+__all__ = ["fleet", "run_round"]
 
-
-def _sha(payload: bytes) -> str:
-    return hashlib.sha256(payload).hexdigest()
-
-
-def round_rng(seed: int, index: int) -> random.Random:
-    return random.Random(f"chaosmp:{seed}:{index}")
-
-
-def _request(port: int, method: str, path: str,
-             body: bytes | None = None,
-             timeout_s: float = 30.0) -> tuple[int, bytes, dict]:
-    """One exchange on a fresh connection (re-rolls the worker)."""
-    conn = http.client.HTTPConnection("127.0.0.1", port,
-                                      timeout=timeout_s)
-    try:
-        conn.request(method, path, body=body)
-        response = conn.getresponse()
-        headers = {key.lower(): value
-                   for key, value in response.getheaders()}
-        return response.status, response.read(), headers
-    finally:
-        conn.close()
+#: Concurrent hammer clients per round, and requests per client.
+CLIENTS = 6
+REQUESTS = 15
 
 
 class _HttpStore:
     """Adapter so :class:`ModelTracker` flips versions over the wire.
 
-    The single-process harness pokes ``server.app.store`` directly; here
-    the stores live in forked workers, so a flip is an HTTP PUT — which
+    The chaos family pokes ``server.app.store`` directly; here the
+    stores live in forked workers, so a flip is an HTTP PUT — which
     also exercises the cross-worker publish path every round.
     """
 
-    def __init__(self, port: int) -> None:
-        self.port = port
+    def __init__(self, server: MultiWorkerServer) -> None:
+        self.server = server
 
     def put(self, name: str, xml_bytes: bytes) -> None:
-        status, body, _ = _request(
-            self.port, "PUT", f"/models/{name}", xml_bytes)
-        assert status in (200, 201), (status, body[:200])
+        response = fetch(self.server, "PUT", f"/models/{name}", xml_bytes)
+        assert response.status in (200, 201), (
+            response.status, response.body[:200])
 
 
-def _materialize(port: int, tracker: ModelTracker) -> list[dict]:
+def _materialize(server: MultiWorkerServer,
+                 tracker: ModelTracker) -> list[dict]:
     """Serve every current page once so its artifact reaches the store.
 
     Run before the kill: the respawn-warm invariant (zero rebuilds in
@@ -108,89 +84,56 @@ def _materialize(port: int, tracker: ModelTracker) -> list[dict]:
     failures: list[dict] = []
     for page, expected in sorted(tracker.current_pages.items()):
         path = f"/site/{tracker.name}/{page}"
-        status, body, _ = _request(port, "GET", path)
-        if status != 200 or body != expected:
+        response = fetch(server, "GET", path)
+        if response.status != 200 or response.body != expected:
             failures.append({
                 "check": "materialize", "model": tracker.name,
                 "path": path,
-                "detail": f"status {status} sha {_sha(body)[:12]} "
+                "detail": f"status {response.status} "
+                          f"sha {_sha(response.body)[:12]} "
                           f"want {_sha(expected)[:12]}"})
     return failures
 
 
-def _check_body(kind: str, path: str, status: int, body: bytes,
-                tracker: ModelTracker) -> dict | None:
-    """Hammer invariants for one completed exchange (no fault plan:
-    the only legal non-200 is an overload shed)."""
-    if status == 503:
-        return None
-    if status != 200:
-        return {"check": "unexpected-status", "path": path,
-                "detail": f"status {status}"}
-    if kind == "model":
-        if body not in tracker.xml_history:
-            return {"check": "torn-model-bytes", "path": path,
-                    "detail": f"unexpected sha {_sha(body)[:12]}"}
-        return None
-    digest = _sha(body)
-    expected = tracker.query_shas["json"] if kind == "query" \
-        else tracker.page_shas
-    if digest not in expected:
-        return {"check": f"torn-{kind}-bytes", "path": path,
-                "detail": f"unexpected sha {digest[:12]}"}
-    return None
-
-
 def _hammer(server: MultiWorkerServer, trackers: list[ModelTracker],
-            seed: int, index: int, clients: int, requests: int,
-            victim: int) -> tuple[list[dict], dict]:
+            seed: int, index: int, victim: int) -> tuple[list[dict], int]:
     """Concurrent readers on fresh connections; mid-phase, SIGKILL the
     victim worker.  Requests in flight on the dying worker may fail
-    with a clean transport error — never a hang, never torn bytes."""
+    with a clean transport error — never a hang, never torn bytes.
+    Returns the violations and the pid shot."""
     failures: list[dict] = []
-    counts = {"requests": 0, "drops": 0, "shed": 0}
     lock = threading.Lock()
 
     def worker(worker_id: int) -> None:
         rng = random.Random(f"chaosmp:{seed}:{index}:client{worker_id}")
-        for _ in range(requests):
+        for _ in range(REQUESTS):
             tracker = rng.choice(trackers)
             kind = rng.choice(["model", "page", "page", "query"])
             if kind == "model":
                 path = f"/models/{tracker.name}"
             elif kind == "query":
-                params = rng.choice(tracker.queries)
-                path = (f"/olap/{tracker.name}/query?"
-                        f"{_query_string(**params)}")
+                path = query_path(tracker.name, rng.choice(tracker.queries))
             else:
                 page = rng.choice(sorted(tracker.current_pages))
                 path = f"/site/{tracker.name}/{page}"
-            record: dict | None = None
             try:
-                status, body, _ = _request(server.port, "GET", path,
-                                           timeout_s=30.0)
+                response = fetch(server, "GET", path)
             except TimeoutError:
                 record = {"check": "hung-connection", "path": path,
                           "detail": "client read timed out"}
-            except (ConnectionError, http.client.HTTPException,
-                    OSError):
+            except RetriesExhausted:
                 # Clean drop: the kernel reset the connection when the
                 # victim died mid-exchange.  Legal during a kill round
-                # (counted, not a violation) — unlike a hang above.
-                with lock:
-                    counts["drops"] += 1
+                # — unlike a hang above.
+                record = None
             else:
-                record = _check_body(kind, path, status, body, tracker)
-                if status == 503:
-                    with lock:
-                        counts["shed"] += 1
-            with lock:
-                counts["requests"] += 1
-                if record is not None:
+                record = check_response(kind, path, response, tracker)
+            if record is not None:
+                with lock:
                     failures.append(record)
 
     threads = [threading.Thread(target=worker, args=(worker_id,))
-               for worker_id in range(clients)]
+               for worker_id in range(CLIENTS)]
     for thread in threads:
         thread.start()
     time.sleep(0.05)
@@ -200,8 +143,7 @@ def _hammer(server: MultiWorkerServer, trackers: list[ModelTracker],
         if thread.is_alive():
             failures.append({"check": "hung-worker",
                              "detail": "hammer client did not finish"})
-    counts["shot_pid"] = shot
-    return failures, counts
+    return failures, shot
 
 
 def _await_respawn(server: MultiWorkerServer, shot: int,
@@ -232,11 +174,11 @@ def _respawn_warm_check(server: MultiWorkerServer, victim: int,
     while time.monotonic() < deadline:
         # Fresh connections re-roll the reuseport hash until both the
         # site request and the stats scrape land on the replacement.
-        _request(server.port, "GET", f"/site/{tracker.name}/{page}")
-        status, body, _ = _request(server.port, "GET", "/stats")
-        if status != 200:
+        fetch(server, "GET", f"/site/{tracker.name}/{page}")
+        response = fetch(server, "GET", "/stats")
+        if response.status != 200:
             continue
-        payload = json.loads(body)
+        payload = json.loads(response.body)
         if payload["worker"]["id"] != victim or \
                 payload["worker"]["pid"] == shot:
             continue
@@ -254,49 +196,6 @@ def _respawn_warm_check(server: MultiWorkerServer, victim: int,
     return {"check": "respawn-not-warm", "detail": detail}
 
 
-def _recovery_sweep(server: MultiWorkerServer,
-                    trackers: list[ModelTracker],
-                    passes: int = 2) -> list[dict]:
-    """Fleet whole again: several passes of everything (fresh
-    connections spread them across every worker, replacement included)
-    must serve current, unmarked, byte-identical responses."""
-    failures: list[dict] = []
-    for _ in range(passes):
-        for tracker in trackers:
-            status, body, _ = _request(
-                server.port, "GET", f"/models/{tracker.name}")
-            if status != 200 or body != tracker.current_xml:
-                failures.append({
-                    "check": "recovery-model", "model": tracker.name,
-                    "detail": f"status {status}"})
-            for page, expected in sorted(tracker.current_pages.items()):
-                path = f"/site/{tracker.name}/{page}"
-                status, body, headers = _request(server.port, "GET", path)
-                stale = headers.get("x-goldcase-stale")
-                if status != 200 or body != expected or stale:
-                    failures.append({
-                        "check": "recovery-page", "model": tracker.name,
-                        "page": page,
-                        "detail": f"status {status} stale={stale} "
-                                  f"sha {_sha(body)[:12]} "
-                                  f"want {_sha(expected)[:12]}"})
-            for encoded, expected in sorted(
-                    (encoded, body)
-                    for bodies in tracker.current_queries.values()
-                    for encoded, body in bodies.items()):
-                path = f"/olap/{tracker.name}/query?{encoded}"
-                status, body, headers = _request(server.port, "GET", path)
-                stale = headers.get("x-goldcase-stale")
-                if status != 200 or body != expected or stale:
-                    failures.append({
-                        "check": "recovery-query", "model": tracker.name,
-                        "query": encoded,
-                        "detail": f"status {status} stale={stale} "
-                                  f"sha {_sha(body)[:12]} "
-                                  f"want {_sha(expected)[:12]}"})
-    return failures
-
-
 def _fleet_metrics_check(server: MultiWorkerServer,
                          timeout_s: float = 30.0) -> dict | None:
     """/metrics must report the full fleet again after the respawn."""
@@ -304,10 +203,10 @@ def _fleet_metrics_check(server: MultiWorkerServer,
     deadline = time.monotonic() + timeout_s
     last: dict[str, float] = {}
     while time.monotonic() < deadline:
-        status, body, _ = _request(server.port, "GET", "/metrics")
-        if status == 200:
+        response = fetch(server, "GET", "/metrics")
+        if response.status == 200:
             try:
-                last = parse_metrics(body.decode("utf-8"))
+                last = parse_metrics(response.body.decode("utf-8"))
             except ValueError as exc:
                 return {"check": "metrics-unparseable",
                         "detail": str(exc)}
@@ -319,144 +218,54 @@ def _fleet_metrics_check(server: MultiWorkerServer,
                       f"{wanted}: {last.get('goldcase_fleet_workers')}"}
 
 
-def run_round(server: MultiWorkerServer, trackers: list[ModelTracker],
-              seed: int, index: int, *, clients: int = 6,
-              requests: int = 15) -> tuple[list[dict], dict]:
-    """One kill round; returns (failure records, counters)."""
-    rng = round_rng(seed, index)
+@contextmanager
+def fleet() -> Iterator[tuple[MultiWorkerServer, list[ModelTracker]]]:
+    """Start the fixture: a fleet over a fresh build store, sharing the
+    oracle's dataset, with every model's current artifacts stored."""
+    trackers = default_trackers()
+    with tempfile.TemporaryDirectory(prefix="goldcase-chaosmp-") as root, \
+            MultiWorkerServer(root, workers=WORKERS,
+                              dataset=CHAOS_DATASET) as server:
+        store = _HttpStore(server)
+        for tracker in trackers:
+            tracker.bootstrap(store)
+            failures = _materialize(server, tracker)
+            assert not failures, failures
+        yield server, trackers
+
+
+def run_round(rng: random.Random, seed: int, index: int,
+              fixture: tuple[MultiWorkerServer, list[ModelTracker]]
+              ) -> list[dict]:
+    """One kill round, drawn from *rng*; returns its violations."""
+    server, trackers = fixture
     failures: list[dict] = []
-    store = _HttpStore(server.port)
 
     # Mutate (fleet whole): one model advances a version over HTTP,
     # then its artifacts are materialized so the respawn can be warm.
     target = rng.choice(trackers)
-    target.advance(store)
-    failures.extend(_materialize(server.port, target))
+    target.advance(_HttpStore(server))
+    failures.extend(_materialize(server, target))
 
     # Hammer + mid-phase SIGKILL of a random worker.
     victim = rng.randrange(server.workers)
     respawns_before = server.respawns
-    hammered, counts = _hammer(server, trackers, seed, index,
-                               clients, requests, victim)
+    hammered, shot = _hammer(server, trackers, seed, index, victim)
     failures.extend(hammered)
 
     # Respawn: same worker id, new pid, warmed from the store.
-    problem = _await_respawn(server, counts["shot_pid"], respawns_before)
+    problem = _await_respawn(server, shot, respawns_before)
     if problem is not None:
         failures.append(problem)
     else:
-        problem = _respawn_warm_check(
-            server, victim, counts["shot_pid"], target)
+        problem = _respawn_warm_check(server, victim, shot, target)
         if problem is not None:
             failures.append(problem)
-        failures.extend(_recovery_sweep(server, trackers))
+        failures.extend(recovery_sweep(server, trackers, passes=2))
         problem = _fleet_metrics_check(server)
         if problem is not None:
             failures.append(problem)
 
-    counts["victim"] = victim
     for record in failures:
-        record.setdefault("seed", seed)
-        record.setdefault("round", index)
         record.setdefault("victim", victim)
-    return failures, counts
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.testkit.chaosmp",
-        description="Worker-kill chaos: SIGKILL random workers of a "
-                    "live pre-fork fleet under traffic.")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="base seed; round r uses RNG(chaosmp:seed:r)")
-    parser.add_argument("--budget", type=float, default=30.0,
-                        help="time budget in seconds (default 30)")
-    parser.add_argument("--rounds", type=int, default=None,
-                        help="run exactly N rounds, ignoring --budget")
-    parser.add_argument("--start", type=int, default=0,
-                        help="first round index (replay)")
-    parser.add_argument("--workers", type=int, default=2,
-                        help="fleet width (default 2)")
-    parser.add_argument("--clients", type=int, default=6,
-                        help="concurrent clients per round (default 6)")
-    parser.add_argument("--requests", type=int, default=15,
-                        help="requests per client per round (default 15)")
-    parser.add_argument("--store-dir", default=None,
-                        help="build-store directory (default: a "
-                             "fresh temporary directory)")
-    parser.add_argument("--failures-dir", default="chaosmp-failures",
-                        help="directory for JSON reproducers")
-    parser.add_argument("--quiet", action="store_true")
-    args = parser.parse_args(argv)
-
-    if not hasattr(os, "fork"):
-        print("chaosmp: SKIP — platform has no fork()")
-        return 0
-
-    started = time.monotonic()
-    FAULTS.deactivate()  # oracles must render fault-free
-    trackers = default_trackers()
-    all_failures: list[dict] = []
-    totals = {"requests": 0, "drops": 0, "shed": 0, "kills": 0}
-    completed = 0
-    index = args.start
-
-    import tempfile
-    store_dir = args.store_dir or tempfile.mkdtemp(
-        prefix="goldcase-chaosmp-")
-    with MultiWorkerServer(store_dir, workers=args.workers,
-                           dataset=CHAOS_DATASET) as server:
-        store = _HttpStore(server.port)
-        for tracker in trackers:
-            tracker.bootstrap(store)
-            failures = _materialize(server.port, tracker)
-            assert not failures, failures
-        while True:
-            if args.rounds is not None:
-                if completed >= args.rounds:
-                    break
-            elif completed > 0 and \
-                    time.monotonic() - started >= args.budget:
-                break
-            failures, counts = run_round(
-                server, trackers, args.seed, index,
-                clients=args.clients, requests=args.requests)
-            completed += 1
-            totals["requests"] += counts["requests"]
-            totals["drops"] += counts["drops"]
-            totals["shed"] += counts["shed"]
-            totals["kills"] += 1
-            if failures:
-                all_failures.extend(failures)
-                print(f"round {index}: {len(failures)} violation(s)",
-                      file=sys.stderr)
-                for record in failures[:5]:
-                    print(f"  {json.dumps(record, sort_keys=True)}",
-                          file=sys.stderr)
-            elif not args.quiet:
-                print(f"round {index}: ok — killed worker "
-                      f"{counts['victim']} (pid {counts['shot_pid']}), "
-                      f"{counts['requests']} requests, "
-                      f"{counts['drops']} clean drops, "
-                      f"{counts['shed']} shed")
-            index += 1
-
-    elapsed = time.monotonic() - started
-    summary = (f"{completed} rounds, {totals['kills']} kills, "
-               f"{totals['requests']} requests, {totals['drops']} "
-               f"clean drops, {totals['shed']} shed, {elapsed:.1f}s")
-    if all_failures:
-        bad = sorted({record["round"] for record in all_failures})
-        path = _write_reproducers(
-            args.failures_dir, args.seed, all_failures)
-        print(f"chaosmp: FAIL — {len(all_failures)} violation(s) "
-              f"across rounds {bad}; {summary}; reproducers: {path}")
-        print(f"replay one with: python -m repro.testkit.chaosmp "
-              f"--seed {args.seed} --start {bad[0]} --rounds 1")
-        return 1
-    print(f"chaosmp: OK — 0 violations; {summary}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    return failures

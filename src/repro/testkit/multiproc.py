@@ -1,70 +1,40 @@
-"""Cross-process differential family: N workers vs offline publish.
+"""The ``multiproc`` family: a live pre-fork fleet vs offline publish.
 
-ISSUE 10's seventh testkit family.  A random model — and a chain of
-edited versions of it — is published through a *live pre-fork server*
-(real sockets, real forked workers, the shared on-disk build store)
-under a random PUT/GET interleaving, and every served byte is compared
-against a single-process offline publish of whichever version was
-current at that point.  Every GET opens a fresh connection, so the
-kernel's reuseport hashing spreads the reads across workers: the
-family fails if *any* worker ever serves bytes that differ from the
-offline oracle — catching stale pointer reads, torn artifacts, or a
-worker building from different bytes than its peers.
-
-Deterministic per ``(seed, index)`` like every family; failures are
-JSON reproducers replayable with ``--seed S --start I --iterations 1``.
-
-Usage::
-
-    python -m repro.testkit.multiproc --seed 0 --budget 30 --workers 2
+Run it with ``python -m repro.testkit.run --family multiproc``.  A
+random model — and a chain of edited versions of it — is published
+through a *live two-worker fleet* (real sockets, real forked workers,
+the shared on-disk build store), started once per run, under a random
+PUT/GET interleaving, and every served byte is compared against a
+single-process offline publish of whichever version was current at
+that point.  Every GET opens a fresh connection, so the kernel's
+reuseport hashing spreads the reads across workers: the family fails
+if *any* worker ever serves bytes that differ from the offline oracle —
+catching stale pointer reads, torn artifacts, or a worker building
+from different bytes than its peers.
 """
 
 from __future__ import annotations
 
-import argparse
-import hashlib
-import http.client
-import json
-import os
 import random
-import sys
 import tempfile
-import time
+from contextlib import contextmanager
+from typing import Iterator
 
 from ..mdm import model_to_xml
-from ..server import ModelRepositoryApp, MultiWorkerServer
+from ..server import MultiWorkerServer
 from ..server.store import ModelStore, ModelStoreError
 from .generators import (
     apply_model_edit,
     random_model,
     random_model_edit_script,
 )
-from .run import _write_reproducers, iteration_rng
+from .live import WORKERS, _sha, fetch, offline_pages
 
-__all__ = ["ServerPool", "build_steps", "multiproc_differential",
-           "offline_site", "random_versions", "main"]
+__all__ = ["build_steps", "fleet", "multiproc_differential",
+           "random_versions", "run_iteration"]
 
 #: Most versions of one model per iteration (PUTs in the interleaving).
 MAX_VERSIONS = 3
-
-#: Worker counts the iteration RNG picks among when not pinned.
-WORKER_CHOICES = (1, 2, 4)
-
-
-def _sha(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-def _request(port: int, method: str, path: str,
-             body: bytes | None = None) -> tuple[int, bytes]:
-    """One exchange on a fresh connection (re-rolls the worker)."""
-    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
-    try:
-        conn.request(method, path, body=body)
-        response = conn.getresponse()
-        return response.status, response.read()
-    finally:
-        conn.close()
 
 
 def random_versions(rng: random.Random,
@@ -96,25 +66,6 @@ def random_versions(rng: random.Random,
     return versions
 
 
-def offline_site(xml_bytes: bytes, name: str) -> dict[str, bytes]:
-    """The oracle: path → bytes from a single-process publish.
-
-    Covers the raw model document and every page of the multi-page
-    site — exactly what the live fleet serves for those paths.
-    """
-    app = ModelRepositoryApp()
-    response = app.handle("PUT", f"/models/{name}", {}, xml_bytes)
-    assert response.status == 201, response.status
-    assert app.handle("GET", f"/site/{name}/index.html").status == 200
-    entry = app.cache.peek(name, "multi")
-    oracle = {f"/models/{name}": xml_bytes}
-    for page in entry.pages:
-        page_response = app.handle("GET", f"/site/{name}/{page}")
-        assert page_response.status == 200, (page, page_response.status)
-        oracle[f"/site/{name}/{page}"] = page_response.body
-    return oracle
-
-
 def build_steps(rng: random.Random, version_count: int,
                 reads_per_gap: int = 3) -> list[tuple]:
     """A random PUT/GET interleaving over *version_count* versions.
@@ -142,22 +93,25 @@ def multiproc_differential(server: MultiWorkerServer, name: str,
     After each acknowledged PUT, *every* subsequent GET — regardless of
     which worker answers — must serve bytes identical to the offline
     publish of that version (cross-worker read-your-writes plus
-    byte-identity).
+    byte-identity): the model document and every page of its site.
     """
     failures: list[dict] = []
-    oracles = [offline_site(xml_bytes, name) for xml_bytes in versions]
+    oracles = [{f"/models/{name}": xml_bytes,
+                **{f"/site/{name}/{page}": body
+                   for page, body in offline_pages(xml_bytes).items()}}
+               for xml_bytes in versions]
     current: int | None = None
     for step in steps:
         if step[0] == "put":
             version = step[1]
-            status, body = _request(
-                server.port, "PUT", f"/models/{name}", versions[version])
-            if status not in (200, 201):
+            response = fetch(server, "PUT", f"/models/{name}",
+                             versions[version])
+            if response.status not in (200, 201):
                 failures.append({
                     "check": "multiproc-put", "model": name,
                     "workers": server.workers, "version": version,
-                    "status": status,
-                    "body": body.decode("utf-8", "replace")[:200]})
+                    "status": response.status,
+                    "body": response.body.decode("utf-8", "replace")[:200]})
                 break  # later reads would chase a version never stored
             current = version
             continue
@@ -166,135 +120,30 @@ def multiproc_differential(server: MultiWorkerServer, name: str,
         oracle = oracles[current]
         paths = rng.sample(sorted(oracle), k=min(len(oracle), step[1]))
         for path in paths:
-            status, body = _request(server.port, "GET", path)
-            if status != 200 or body != oracle[path]:
+            response = fetch(server, "GET", path)
+            if response.status != 200 or response.body != oracle[path]:
                 failures.append({
                     "check": "multiproc-identical", "model": name,
                     "workers": server.workers, "version": current,
-                    "path": path, "status": status,
+                    "path": path, "status": response.status,
                     "expected_sha": _sha(oracle[path]),
-                    "got_sha": _sha(body)})
+                    "got_sha": _sha(response.body)})
     return failures
 
 
-class ServerPool:
-    """Live fleets by worker count, shared across iterations.
-
-    Forking a fleet costs ~a second; iterations only need *a* live
-    fleet of the right width, and fresh per-iteration model names keep
-    them independent.  Each width gets its own build-store directory.
-    """
-
-    def __init__(self) -> None:
-        self._root = tempfile.TemporaryDirectory(
-            prefix="goldcase-multiproc-")
-        self._servers: dict[int, MultiWorkerServer] = {}
-
-    def get(self, workers: int) -> MultiWorkerServer:
-        server = self._servers.get(workers)
-        if server is None:
-            server = MultiWorkerServer(
-                os.path.join(self._root.name, f"w{workers}"),
-                workers=workers)
-            server.start()
-            self._servers[workers] = server
-        return server
-
-    def close(self) -> None:
-        for server in self._servers.values():
-            server.stop()
-        self._servers.clear()
-        self._root.cleanup()
-
-    def __enter__(self) -> "ServerPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+@contextmanager
+def fleet() -> Iterator[MultiWorkerServer]:
+    """Start the fixture: a fleet over a fresh build store.  Iterations
+    share it; each publishes a model of its own name."""
+    with tempfile.TemporaryDirectory(prefix="goldcase-multiproc-") as root, \
+            MultiWorkerServer(root, workers=WORKERS) as server:
+        yield server
 
 
-def run_iteration(seed: int, index: int, pool: ServerPool,
-                  workers: int | None = None) -> list[dict]:
-    """One deterministic iteration of the family."""
-    rng = iteration_rng(seed, index)
-    chosen = workers or rng.choice(WORKER_CHOICES)
-    server = pool.get(chosen)
+def run_iteration(rng: random.Random, seed: int, index: int,
+                  server: MultiWorkerServer) -> list[dict]:
+    """One iteration of the family, drawn from *rng*."""
     name = f"m{seed}x{index}"
     versions = random_versions(rng)
     steps = build_steps(rng, len(versions))
-    failures = multiproc_differential(server, name, versions, steps, rng)
-    for record in failures:
-        record.setdefault("seed", seed)
-        record.setdefault("iteration", index)
-    return failures
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.testkit.multiproc",
-        description="Cross-process differential harness: a live "
-                    "pre-fork fleet vs offline publishing.")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="base seed; iteration i uses RNG(seed:i)")
-    parser.add_argument("--budget", type=float, default=30.0,
-                        help="time budget in seconds (default 30)")
-    parser.add_argument("--iterations", type=int, default=None,
-                        help="run exactly N iterations, ignoring "
-                             "--budget")
-    parser.add_argument("--start", type=int, default=0,
-                        help="first iteration index (replay)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="pin the fleet width (default: the "
-                             "iteration RNG picks among "
-                             f"{WORKER_CHOICES})")
-    parser.add_argument("--failures-dir", default="multiproc-failures",
-                        help="directory for JSON reproducers")
-    parser.add_argument("--quiet", action="store_true")
-    args = parser.parse_args(argv)
-
-    started = time.monotonic()
-    index = args.start
-    completed = 0
-    all_failures: list[dict] = []
-    with ServerPool() as pool:
-        while True:
-            if args.iterations is not None:
-                if completed >= args.iterations:
-                    break
-            elif completed > 0 and \
-                    time.monotonic() - started >= args.budget:
-                break
-            failures = run_iteration(args.seed, index, pool,
-                                     workers=args.workers)
-            completed += 1
-            if failures:
-                all_failures.extend(failures)
-                print(f"iteration {index}: {len(failures)} failure(s)",
-                      file=sys.stderr)
-                for record in failures[:5]:
-                    print(f"  {json.dumps(record, sort_keys=True)}",
-                          file=sys.stderr)
-            elif not args.quiet and completed % 5 == 0:
-                elapsed = time.monotonic() - started
-                print(f"... {completed} iterations green "
-                      f"({elapsed:.1f}s)")
-            index += 1
-
-    elapsed = time.monotonic() - started
-    if all_failures:
-        bad = sorted({record["iteration"] for record in all_failures})
-        path = _write_reproducers(
-            args.failures_dir, args.seed, all_failures)
-        print(f"multiproc testkit: FAIL — {len(all_failures)} "
-              f"failure(s) across iterations {bad} in {elapsed:.1f}s; "
-              f"reproducers: {path}")
-        print(f"replay one with: python -m repro.testkit.multiproc "
-              f"--seed {args.seed} --start {bad[0]} --iterations 1")
-        return 1
-    print(f"multiproc testkit: OK — {completed} iterations, "
-          f"0 failures, seed {args.seed}, {elapsed:.1f}s")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    return multiproc_differential(server, name, versions, steps, rng)

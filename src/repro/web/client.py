@@ -48,7 +48,7 @@ from .stylesheets import SINGLE_PAGE_XSL, stylesheet_resolver
 
 __all__ = ["ClientBundle", "server_side", "client_bundle",
            "BrowserSimulator", "ClientResponse", "RepositoryClient",
-           "RetriesExhausted", "RetryPolicy"]
+           "RetriesExhausted", "RetryPolicy", "query_path"]
 
 
 @dataclass
@@ -282,17 +282,7 @@ class RepositoryClient:
         """
         if params is not None and body is not None:
             raise ValueError("pass params (GET) or body (POST), not both")
-        pairs: list[tuple[str, str]] = []
-        for key, value in (params or {}).items():
-            if isinstance(value, (list, tuple)):
-                pairs += [(key, str(item)) for item in value]
-            else:
-                pairs.append((key, str(value)))
-        if format is not None:
-            pairs.append(("format", format))
-        path = f"/olap/{quote(model)}/query"
-        if pairs:
-            path += "?" + urlencode(pairs)
+        path = query_path(model, params, format)
         if body is not None:
             send = dict(headers or {})
             send.setdefault("Content-Type", "application/json")
@@ -306,6 +296,25 @@ class RepositoryClient:
         """Fetch ``/olap/<model>/stats`` (aggregate/dataset cache state)."""
         return self.request(
             "GET", f"/olap/{quote(model)}/stats", headers=headers)
+
+
+def query_path(model: str, params: dict | None = None,
+               format: str | None = None) -> str:
+    """``/olap/<model>/query`` with *params* urlencoded.
+
+    A list value repeats its parameter (how several ``slice``
+    predicates travel); *format*, when given, goes last.
+    """
+    pairs: list[tuple[str, str]] = []
+    for key, value in (params or {}).items():
+        if isinstance(value, (list, tuple)):
+            pairs += [(key, str(item)) for item in value]
+        else:
+            pairs.append((key, str(value)))
+    if format is not None:
+        pairs.append(("format", format))
+    path = f"/olap/{quote(model)}/query"
+    return f"{path}?{urlencode(pairs)}" if pairs else path
 
 
 def _pseudo_attribute(data: str, name: str) -> str:

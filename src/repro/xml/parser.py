@@ -92,8 +92,11 @@ _START_TAG = re.compile(
 _TAG_ATTRIBUTE = re.compile(_one_run_attribute("("))
 #: The characters the internal-subset scan stops at.
 _SUBSET_MARK = re.compile("[][\"']")
-#: A character that is not a ``Char`` (comments, PIs, CDATA sections).
+#: A character that is not a ``Char`` (comments, PIs, CDATA sections,
+#: system literals).
 _NON_CHAR = re.compile(f"[{NON_CHAR_CLASS}]")
+#: A character that is not a ``PubidChar`` (production [13]).
+_NON_PUBID_CHAR = re.compile("[^ \r\na-zA-Z0-9'()+,./:=?;!*#@$_%-]")
 #: Production [81] EncName.
 _ENC_NAME = re.compile("[A-Za-z][A-Za-z0-9._-]*")
 _DECLARED_ENCODING = re.compile(
@@ -252,13 +255,16 @@ class XMLParser:
         if scanner.startswith("SYSTEM"):
             scanner.expect("SYSTEM")
             scanner.require_space("after SYSTEM")
-            document.doctype_system = scanner.read_quoted("system identifier")
+            document.doctype_system = self._read_literal(
+                "system identifier", _NON_CHAR)
         elif scanner.startswith("PUBLIC"):
             scanner.expect("PUBLIC")
             scanner.require_space("after PUBLIC")
-            document.doctype_public = scanner.read_quoted("public identifier")
+            document.doctype_public = self._read_literal(
+                "public identifier", _NON_PUBID_CHAR)
             scanner.require_space("after public identifier")
-            document.doctype_system = scanner.read_quoted("system identifier")
+            document.doctype_system = self._read_literal(
+                "system identifier", _NON_CHAR)
         scanner.skip_space()
         if scanner.peek() == "[":
             scanner.advance()
@@ -280,6 +286,14 @@ class XMLParser:
             document.internal_subset = text[start:scanner.pos - 1]
             scanner.skip_space()
         scanner.expect(">", "end of DOCTYPE")
+
+    def _read_literal(self, what: str, illegal: re.Pattern) -> str:
+        """A quoted literal of the DOCTYPE, none of whose characters
+        match *illegal*."""
+        start = self._scanner.pos + 1
+        literal = self._scanner.read_quoted(what)
+        self._check_chars(literal, start, what, illegal)
+        return literal
 
     def _parse_misc(self, document: Document) -> None:
         scanner = self._scanner
@@ -577,10 +591,12 @@ class XMLParser:
             scanner.expect("?>", "'?>'")
         return ProcessingInstruction(target, data)
 
-    def _check_chars(self, data: str, start: int, what: str) -> None:
+    def _check_chars(self, data: str, start: int, what: str,
+                     illegal: re.Pattern = _NON_CHAR) -> None:
         """Raise at the first character of *data* (which begins at
-        offset *start*) that is not a ``Char``."""
-        bad = _NON_CHAR.search(data)
+        offset *start*) that *illegal* matches: by default, the first
+        that is not a ``Char``."""
+        bad = illegal.search(data)
         if bad is not None:
             raise self._scanner.error(
                 f"illegal character U+{ord(bad.group()):04X} in {what}",

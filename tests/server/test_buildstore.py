@@ -19,7 +19,7 @@ import threading
 
 from hypothesis import given, settings
 
-from repro.mdm import model_to_xml
+from repro.mdm import model_to_xml, sales_model, two_facts_model
 from repro.server import BuildStore, SharedModelStore, SiteCache
 from repro.server.cache import _build_variant
 from repro.testkit.strategies import gold_models
@@ -115,7 +115,6 @@ def test_adopted_entry_rebuilds_cold_once_then_incrementally():
     build, counted once as ``incremental_fallback``, and the entry that
     build makes carries an index, so the next rebuild is incremental.
     Every rebuild is byte-identical to an offline build."""
-    from repro.testkit.chaos import sales_model
     from repro.testkit.generators import apply_model_edit
 
     v1 = sales_model()
@@ -157,7 +156,6 @@ def test_child_process_build_is_byte_identical_to_offline():
     """An artifact written by another *process* matches the entry an
     in-process offline build computes — the property that makes
     cross-process cache hits safe by construction."""
-    from repro.testkit.chaos import sales_model
 
     xml_bytes = _xml(sales_model())
     with tempfile.TemporaryDirectory() as root:
@@ -222,7 +220,6 @@ def test_sixteen_client_burst_across_four_processes_builds_once():
     16-client burst across 4 worker processes executes one transform
     fleet-wide; everyone else coalesces in-process or adopts the
     artifact from disk."""
-    from repro.testkit.chaos import sales_model
 
     xml_bytes = _xml(sales_model())
     with tempfile.TemporaryDirectory() as root:
@@ -263,7 +260,6 @@ def test_shared_store_read_your_writes_across_instances():
     """A PUT acknowledged by one store instance is visible — same
     bytes, same revision — to a peer instance over the same directory,
     and a DELETE unpublishes for every peer."""
-    from repro.testkit.chaos import sales_model, two_facts_model
 
     first_xml = _xml(sales_model())
     second_xml = _xml(two_facts_model())

@@ -11,6 +11,7 @@ drives the check with the testkit's random model generator.
 from __future__ import annotations
 
 import hashlib
+import random
 
 from hypothesis import given, settings
 
@@ -172,11 +173,12 @@ def test_etag_function_survives_the_on_disk_build_store(model):
 def test_designer_edit_script_preserves_the_etag_function(model):
     """Same property along a realistic edit chain: every PUT of an
     edited model yields ETags identical to a cold build of that model."""
-    from repro.testkit.generators import apply_model_edit
-    from repro.testkit.run import iteration_rng
-    from repro.testkit.generators import random_model_edit_script
+    from repro.testkit.generators import (
+        apply_model_edit,
+        random_model_edit_script,
+    )
 
-    rng = iteration_rng(0, sum(_xml(model)) % 1000)
+    rng = random.Random(f"0:{sum(_xml(model)) % 1000}")
     warm = _loaded_app(_xml(model))
     assert warm.handle("GET", "/site/m/index.html").status == 200
     current = accepted = model

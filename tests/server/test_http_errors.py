@@ -138,6 +138,20 @@ class TestBodyFraming:
         assert _status_line(reply) == 400
         _assert_still_serving(server)
 
+    @pytest.mark.parametrize("length", [b"+10", b"1_0", b"\xb2"])
+    def test_length_that_int_reads_but_is_not_digits_is_400(self, server,
+                                                              length):
+        """RFC 9110 §8.6 allows ``1*DIGIT`` only: a sign, an underscore
+        or a latin-1 superscript two never frames a body."""
+        reply = _raw_exchange(
+            server,
+            b"PUT /models/x HTTP/1.1\r\nHost: h\r\n"
+            b"Content-Length: " + length + b"\r\n\r\n")
+        status, error = _only_response(reply)
+        assert status == 400
+        assert "Content-Length" in error
+        _assert_still_serving(server)
+
     def test_oversized_body_is_413_without_reading_it(self, server):
         reply = _raw_exchange(
             server,

@@ -18,9 +18,9 @@ import time
 
 import pytest
 
-from repro.mdm import model_to_xml
-from repro.server import ModelRepositoryApp, MultiWorkerServer
-from repro.testkit.chaos import sales_model, two_facts_model
+from repro.mdm import model_to_xml, sales_model, two_facts_model
+from repro.server import MultiWorkerServer
+from repro.testkit.live import offline_pages
 
 pytestmark = pytest.mark.skipif(
     not hasattr(os, "fork"), reason="pre-fork server needs fork()")
@@ -51,17 +51,8 @@ def _exchange(conn: http.client.HTTPConnection, method: str, path: str,
 
 def _offline_site(xml_bytes: bytes, name: str) -> dict[str, bytes]:
     """Every multi-variant page path → bytes, published offline."""
-    app = ModelRepositoryApp()
-    assert app.handle(
-        "PUT", f"/models/{name}", {}, xml_bytes).status == 201
-    assert app.handle("GET", f"/site/{name}/index.html").status == 200
-    entry = app.cache.peek(name, "multi")
-    pages = {}
-    for page in entry.pages:
-        response = app.handle("GET", f"/site/{name}/{page}")
-        assert response.status == 200
-        pages[f"/site/{name}/{page}"] = response.body
-    return pages
+    return {f"/site/{name}/{page}": body
+            for page, body in offline_pages(xml_bytes).items()}
 
 
 def _stats_by_pid(port: int, wanted_pids: set[int],

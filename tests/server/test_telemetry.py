@@ -19,7 +19,7 @@ from repro.mdm import model_to_xml, sales_model
 from repro.obs.ids import RequestIdGenerator, is_request_id
 from repro.server import ModelRepositoryApp, ServerTelemetry
 from repro.server.telemetry import current_context
-from repro.testkit.chaos import parse_metrics
+from repro.testkit.live import parse_metrics
 
 
 class ManualClock:

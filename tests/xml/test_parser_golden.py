@@ -21,7 +21,9 @@ The inputs:
 * seeded byte-level mutants that exercise decoding: BOMs, declared
   encodings, bytes invalid in their encoding and unknown encodings;
 * seeded small documents whose start tags vary (:func:`tag_document`),
-  and two start tags of 5,000 attributes each.
+  and two start tags of 5,000 attributes each;
+* DOCTYPE system and public literals with a character their
+  productions do not allow.
 
 The corpus pins the parser's observable behaviour so a rewrite of its
 scanning can be checked entry by entry.  Re-record it (only after an
@@ -118,6 +120,16 @@ TAG_FAULTS = ("duplicate-adjacent", "duplicate-far", "missing-space",
               "bad-name", "undeclared-element-prefix",
               "undeclared-attribute-prefix", "same-expanded-name",
               "bad-declaration", "bad-close")
+
+
+#: DOCTYPE external IDs whose literal holds a character its production
+#: ([11] SystemLiteral, [12] PubidLiteral) does not allow.
+DOCTYPE_LITERALS = {
+    "system-nul": '<!DOCTYPE a SYSTEM "y\x00"><a/>',
+    "public-nul": '<!DOCTYPE a PUBLIC "x\x00" "y"><a/>',
+    "public-brace": '<!DOCTYPE a PUBLIC "x{" "y"><a/>',
+    "public-system-soh": '<!DOCTYPE a PUBLIC "x" "y\x01"><a/>',
+}
 
 
 def _tree(node) -> list:
@@ -399,6 +411,9 @@ def corpus():
     for key, value in (("reference", "x&amp;y"), ("lt", "x<y")):
         yield (f"tag:long-{key}", f"{LONG_TAG_ATTRIBUTES} attributes, "
                f"last value {value!r}", long_tag_document(value))
+    for key, text in DOCTYPE_LITERALS.items():
+        yield f"doctype:{key}", "DOCTYPE literal with an illegal character", \
+            text
 
 
 def _generate() -> dict[str, list]:
@@ -419,7 +434,8 @@ def test_corpus_is_large_enough():
     assert 0.2 * len(mutants) < errors < 0.8 * len(mutants)
 
 
-@pytest.mark.parametrize("family", ["base", "text", "bytes", "tag"])
+@pytest.mark.parametrize("family", ["base", "text", "bytes", "tag",
+                                    "doctype"])
 def test_parser_reproduces_golden_corpus(family):
     golden = _golden()
     checked = 0
